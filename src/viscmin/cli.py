@@ -10,8 +10,9 @@ import os
 import sys
 
 # pin BLAS before numpy first loads so eigensolves are single-threaded
-# and bit-stable; --threads only sets the batch chunk size, never the
-# arithmetic (library users importing viscmin directly are unaffected)
+# and bit-stable; --threads only sets the chunk size (the hessian kernel
+# directions per jet pass), never the arithmetic (library users importing
+# viscmin directly are unaffected)
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

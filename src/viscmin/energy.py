@@ -26,7 +26,8 @@ __all__ = [
     "second_variation_ambient", "second_variation_constrained",
     "second_variation_area_terms", "free_path_energies",
     "projected_path_energies", "fd_first", "fd_second",
-    "batched_quadratic", "batched_linear", "AmbientField",
+    "batched_quadratic", "batched_linear", "node_coordinates",
+    "hessian_kernel", "AmbientField",
     "polynomial_field", "composed_variation_bounds",
 ]
 
@@ -124,18 +125,30 @@ def first_variation_samples(immersion, W, Wd, Wdd):
 # second variation via jets
 # ---------------------------------------------------------------------------
 
+def _node_densities(pw, weights):
+    """Per-node area and F densities, sqrt_det w and (1 + |II|^2)^2 sqrt_det w,
+    from pointwise geometry (plain values or jets)."""
+    area = pw["sqrt_det"] * weights
+    e = 1.0 + pw["II2"]
+    return area, e * e * pw["sqrt_det"] * weights
+
+
+def _jet_densities(immersion, W, Wd, Wdd):
+    """Per-node (area, f) densities as Jet2 along the linear family Phi + t w.
+
+    The jet values stay unbatched (one copy of Phi for the whole batch of
+    directions); only the derivative components carry the batch axes.
+    """
+    P, Pd, Pdd = immersion.derivatives()
+    pw = pointwise_geometry(Jet2(P, W), Jet2(Pd, Wd), Jet2(Pdd, Wdd),
+                            immersion.ambient)
+    return _node_densities(pw, immersion.basis.chart_weights)
+
+
 def _jet_energies(immersion, W, Wd, Wdd):
     """(area, f) as Jet2 scalars along the linear family Phi + t w."""
-    P, Pd, Pdd = immersion.derivatives()
-    jP = Jet2(np.broadcast_to(P, W.shape).copy(), W)
-    jPd = Jet2(np.broadcast_to(Pd, Wd.shape).copy(), Wd)
-    jPdd = Jet2(np.broadcast_to(Pdd, Wdd.shape).copy(), Wdd)
-    pw = pointwise_geometry(jP, jPd, jPdd, immersion.ambient)
-    weights = immersion.basis.chart_weights
-    area = (pw["sqrt_det"] * weights).sum(axis=-1)
-    e = 1.0 + pw["II2"]
-    f = (e * e * pw["sqrt_det"] * weights).sum(axis=-1)
-    return area, f
+    area, f = _jet_densities(immersion, W, Wd, Wdd)
+    return area.sum(axis=-1), f.sum(axis=-1)
 
 
 def second_variation_ambient(immersion, w, w_other=None):
@@ -173,13 +186,14 @@ def second_variation_area_terms(immersion, w):
     return geom.integrate(dw2 + tr_u * tr_u - 2.0 * uu)
 
 
-def _retraction_curvature_triple(immersion, wa, wb):
+def _retraction_curvature_triple(P, Pd, Pdd, Wa, Wad, Wadd, Wb, Wbd, Wbdd):
     """Samples and chart derivatives of the polarized retraction curvature
-    field -(w_a . w_b) Phi, by the product rule (exact, no refit)."""
-    P, Pd, Pdd = immersion.derivatives()
-    Wa, Wad, Wadd = wa.derivatives()
-    Wb, Wbd, Wbdd = wb.derivatives()
-    s = np.sum(Wa * Wb, axis=-1)
+    field -(w_a . w_b) Phi, by the product rule (exact, no refit).
+
+    Takes sample triples of Phi and of both fields; leading batch axes of
+    the fields broadcast against Phi.
+    """
+    s = np.einsum("...q,...q->...", Wa, Wb)
     s_i = (np.einsum("...iq,...q->...i", Wad, Wb)
            + np.einsum("...q,...iq->...i", Wa, Wbd))
     s_ij = (np.einsum("...ijq,...q->...ij", Wadd, Wb)
@@ -218,7 +232,8 @@ def second_variation_constrained(immersion, w, w_other=None, sigma=0.0,
     amb = second_variation_ambient(immersion, w, None if wb is w else wb)
     d2 = amb["d2_area"] + sigma ** 2 * amb["d2_f"]
     if immersion.ambient.kind == "sphere":
-        V, Vd, Vdd = _retraction_curvature_triple(immersion, w, wb)
+        V, Vd, Vdd = _retraction_curvature_triple(
+            *immersion.derivatives(), *w.derivatives(), *wb.derivatives())
         fv = first_variation_samples(immersion, V, Vd, Vdd)
         d2 += fv["d_area"] + sigma ** 2 * fv["d_f"]
     return float(d2)
@@ -261,6 +276,119 @@ def batched_linear(immersion, V, Vd, Vdd, sigma):
 
 
 # ---------------------------------------------------------------------------
+# per-node second-derivative kernels
+# ---------------------------------------------------------------------------
+#
+# The energies are weighted sums over nodes of a density of the node
+# coordinates x_n = (P, P_u, P_v, P_uu, P_uv, P_vv) in R^{6Q}, and along
+# Phi + t w those coordinates move linearly.  So the exact hessian along
+# the free family is H_ab = sum_n y_a(n)^T K_n y_b(n), with y_a(n) the same
+# six samples of w_a and K_n the 6Q x 6Q hessian of the node density.
+
+def node_coordinates(W, Wd, Wdd):
+    """Stack a sample triple into node coordinates (..., N, 6Q), ordered
+    (W, W_u, W_v, W_uu, W_uv, W_vv)."""
+    return np.concatenate([W, Wd[..., 0, :], Wd[..., 1, :],
+                           Wdd[..., 0, 0, :], Wdd[..., 0, 1, :],
+                           Wdd[..., 1, 1, :]], axis=-1)
+
+
+def _coordinate_triple(E):
+    """Inverse of node_coordinates for node-independent directions E (D, 6Q):
+    a (D, 1, ...) sample triple that broadcasts over the nodes."""
+    W, Wu, Wv, Wuu, Wuv, Wvv = np.split(E[:, None, :], 6, axis=-1)
+    Wd = np.stack([Wu, Wv], axis=-2)
+    Wdd = np.stack([np.stack([Wuu, Wuv], -2), np.stack([Wuv, Wvv], -2)], -3)
+    return W, Wd, Wdd
+
+
+def _node_kernels(immersion, chunk):
+    """Node hessians and gradients of the area and F densities.
+
+    Returns (K_area, K_f, g_area, g_f) with K of shape (N, 6Q, 6Q) and g of
+    shape (N, 6Q), in the coordinates of node_coordinates.  One jet pass
+    over the 6Q(6Q+1)/2 coordinate directions, at most ``chunk`` of them
+    per batch: diagonals from e_i, off-diagonals from e_i + e_j by
+    polarization.  The cost does not depend on any variation basis.
+    """
+    n = 6 * immersion.ambient.dim
+    ii, jj = np.triu_indices(n)
+    rows = np.arange(len(ii))
+    E = np.zeros((len(ii), n))
+    E[rows, ii] = 1.0
+    E[rows, jj] = 1.0
+    num_nodes = immersion.basis.num_nodes
+    c = np.empty((2, len(ii), num_nodes))
+    b = np.empty((2, len(ii), num_nodes))
+    for lo in range(0, len(ii), chunk):
+        hi = min(len(ii), lo + chunk)
+        dens = _jet_densities(immersion, *_coordinate_triple(E[lo:hi]))
+        for k, d in enumerate(dens):
+            c[k, lo:hi] = d.c
+            b[k, lo:hi] = d.b
+    # triu_indices lists the diagonal directions in order of i
+    diag = ii == jj
+    kernels = []
+    for ck in c:
+        kd = ck[diag]
+        vals = np.where(diag[:, None], ck, 0.5 * (ck - kd[ii] - kd[jj]))
+        K = np.empty((num_nodes, n, n))
+        K[:, ii, jj] = vals.T
+        K[:, jj, ii] = vals.T
+        kernels.append(K)
+    g_area, g_f = (bk[diag].T.copy() for bk in b)
+    return kernels[0], kernels[1], g_area, g_f
+
+
+def _retraction_kernel(P, Pd, Pdd, g):
+    """Node kernel of the bilinear form (w_a, w_b) -> DA(-(w_a . w_b) Phi).
+
+    g (N, 6Q) is the node gradient of the density.  The product rule of
+    _retraction_curvature_triple, paired with g, gives coefficients on
+    s = w_a . w_b and its chart derivatives; each is a bilinear form whose
+    blocks are multiples of the Q x Q identity.
+    """
+    Q = P.shape[-1]
+    G = g.reshape(g.shape[:-1] + (6, Q))
+    X = node_coordinates(P, Pd, Pdd).reshape(G.shape)
+
+    def dot(slot, y):
+        return np.einsum("...q,...q->...", G[..., slot, :], y)
+
+    P_u, P_v = X[..., 1, :], X[..., 2, :]
+    c_s = -np.einsum("...sq,...sq->...", G, X)
+    c_u = -(dot(1, P) + 2.0 * dot(3, P_u) + dot(4, P_v))
+    c_v = -(dot(2, P) + dot(4, P_u) + 2.0 * dot(5, P_v))
+    c_uu, c_uv, c_vv = (-dot(slot, P) for slot in (3, 4, 5))
+    # s_ij = W_a,ij . W_b + W_a,i . W_b,j + W_a,j . W_b,i + W_a . W_b,ij
+    terms = [((0, 0), c_s),
+             ((1, 0), c_u), ((0, 1), c_u), ((2, 0), c_v), ((0, 2), c_v),
+             ((3, 0), c_uu), ((0, 3), c_uu), ((1, 1), 2.0 * c_uu),
+             ((4, 0), c_uv), ((0, 4), c_uv), ((1, 2), c_uv), ((2, 1), c_uv),
+             ((5, 0), c_vv), ((0, 5), c_vv), ((2, 2), 2.0 * c_vv)]
+    r = np.zeros(c_s.shape + (6, 6))
+    for (p, q), coeff in terms:
+        r[..., p, q] += coeff
+    return np.einsum("...pr,qs->...pqrs", r, np.eye(Q)).reshape(
+        c_s.shape + (6 * Q, 6 * Q))
+
+
+def hessian_kernel(immersion, sigma, chunk=64):
+    """Node kernels K_n (N, 6Q, 6Q) of the constrained A^sigma hessian.
+
+    K_n = K_area,n + sigma^2 K_F,n, plus the retraction-curvature form in
+    the sphere ambient, so that sum_n y_a(n)^T K_n y_b(n) is the polarized
+    second_variation_constrained of w_a and w_b.
+    """
+    K_area, K_f, g_area, g_f = _node_kernels(immersion, chunk)
+    K = K_area + sigma ** 2 * K_f
+    if immersion.ambient.kind == "sphere":
+        K += _retraction_kernel(*immersion.derivatives(),
+                                g_area + sigma ** 2 * g_f)
+    return K
+
+
+# ---------------------------------------------------------------------------
 # path evaluators (feed the finite-difference oracles)
 # ---------------------------------------------------------------------------
 
@@ -272,11 +400,8 @@ def free_path_energies(immersion, w, t):
     W, Wd, Wdd = w.derivatives()
     pw = pointwise_geometry(P + t * W, Pd + t * Wd, Pdd + t * Wdd,
                             immersion.ambient)
-    weights = immersion.basis.chart_weights
-    area = float(np.sum(pw["sqrt_det"] * weights))
-    e = 1.0 + pw["II2"]
-    f = float(np.sum(e * e * pw["sqrt_det"] * weights))
-    return area, f
+    area, f = _node_densities(pw, immersion.basis.chart_weights)
+    return float(np.sum(area)), float(np.sum(f))
 
 
 def projected_path_energies(immersion, w, t):
@@ -313,11 +438,8 @@ def projected_path_energies(immersion, w, t):
            + 3.0 * z[..., None, None, :] * (zdotzd[..., :, None] * zdotzd[..., None, :]
                                             * inv_r5[..., None, None])[..., None])
     pw = pointwise_geometry(y, yd, ydd, immersion.ambient)
-    weights = immersion.basis.chart_weights
-    area = float(np.sum(pw["sqrt_det"] * weights))
-    e = 1.0 + pw["II2"]
-    f = float(np.sum(e * e * pw["sqrt_det"] * weights))
-    return area, f
+    area, f = _node_densities(pw, immersion.basis.chart_weights)
+    return float(np.sum(area)), float(np.sum(f))
 
 
 def fd_first(path_fn, h=1e-3):

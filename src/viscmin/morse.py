@@ -4,9 +4,11 @@ The index of a critical point is counted on a finite-dimensional family of
 band-limited variations: scalar spectral modes times orthonormal normal
 frame fields (plus, optionally, tangential reparametrization fields, which
 sit in the radical of the hessian at critical points). The constrained
-hessian of the relaxed energy is assembled by exact jet propagation plus
-the retraction-curvature first-variation term, and the index/nullity come
-from the generalized symmetric eigenproblem against the L2 Gram matrix.
+hessian of the relaxed energy is contracted from per-node second-derivative
+kernels of the energy density (exact jet propagation, with the
+retraction-curvature first-variation term folded in), and the index/nullity
+come from the generalized symmetric eigenproblem against the L2 Gram
+matrix.
 """
 
 import warnings
@@ -55,14 +57,12 @@ def scalar_modes(immersion, cutoff):
             fields.append(np.sin(phase))
             labels.append(f"sin({m},{n})")
     elif isinstance(basis, SphHarmBasis):
+        # the basis already tabulates every harmonic at its own nodes,
+        # row ell^2 + ell + m, so the modes are read off, not re-evaluated
         c = min(cutoff, basis.degree)
-        helper = SphHarmBasis(max(2, c))
-        for ell in range(c + 1):
-            for m in range(-ell, ell + 1):
-                coeff = np.zeros(helper.mode_count)
-                coeff[ell * ell + ell + m] = 1.0
-                fields.append(helper.evaluate_at(coeff[:, None], pts)[:, 0])
-                labels.append(f"Y({ell},{m})")
+        fields = list(basis._tables[:(c + 1) ** 2, 0].copy())
+        labels = [f"Y({ell},{m})" for ell in range(c + 1)
+                  for m in range(-ell, ell + 1)]
     else:
         raise ShapeMismatch("unsupported basis type")
     return fields, labels
@@ -136,20 +136,16 @@ def reparametrization_basis(immersion, cutoff):
 def assemble_hessian(immersion, basis, sigma, chunk=64, warn_critical=True):
     """Constrained hessian of A^sigma on a variation basis.
 
-    Returns (H, G, grad_norm): the polarized quadratic form matrix, the L2
-    Gram matrix, and the sup of |DA^sigma(w_a)| over Gram-normalized basis
-    fields. Warns NonCriticalWarning when the gradient norm is not small.
+    Returns (H, G, grad_norm): the hessian matrix, the L2 Gram matrix, and
+    the sup of |DA^sigma(w_a)| over Gram-normalized basis fields. Warns
+    NonCriticalWarning when the gradient norm is not small.
+
+    H is contracted from the per-node second-derivative kernels of
+    energy.hessian_kernel, built once per call with at most ``chunk``
+    kernel directions per jet pass; the gradient and the diagonal come
+    from hessian_diagonal.
     """
-    W, Wd, Wdd = basis.triples()
-    M = len(basis)
-    sphere = immersion.ambient.kind == "sphere"
-
-    grad = np.empty(M)
-    for lo in range(0, M, chunk):
-        hi = min(M, lo + chunk)
-        grad[lo:hi] = energy.batched_linear(
-            immersion, W[lo:hi], Wd[lo:hi], Wdd[lo:hi], sigma)
-
+    diag, _, grad = hessian_diagonal(immersion, basis, sigma, chunk=chunk)
     G = basis.gram()
     norms = np.sqrt(np.maximum(np.diag(G), 1e-300))
     grad_norm = float(np.max(np.abs(grad) / norms))
@@ -158,45 +154,11 @@ def assemble_hessian(immersion, basis, sigma, chunk=64, warn_critical=True):
             f"hessian assembled at a non-critical point "
             f"(gradient norm {grad_norm:.2e})", NonCriticalWarning)
 
-    H = np.zeros((M, M))
-    # diagonal entries: single jet pass per field
-    diag = np.empty(M)
-    for lo in range(0, M, chunk):
-        hi = min(M, lo + chunk)
-        q, _ = energy.batched_quadratic(
-            immersion, W[lo:hi], Wd[lo:hi], Wdd[lo:hi], sigma)
-        diag[lo:hi] = q
-    # off-diagonal via polarization of sum/difference directions
-    pairs = [(a, b) for a in range(M) for b in range(a + 1, M)]
-    for lo in range(0, len(pairs), chunk):
-        batch = pairs[lo:lo + chunk]
-        ia = np.array([p[0] for p in batch])
-        ib = np.array([p[1] for p in batch])
-        Wp, Wdp, Wddp = W[ia] + W[ib], Wd[ia] + Wd[ib], Wdd[ia] + Wdd[ib]
-        Wm, Wdm, Wddm = W[ia] - W[ib], Wd[ia] - Wd[ib], Wdd[ia] - Wdd[ib]
-        qp, _ = energy.batched_quadratic(immersion, Wp, Wdp, Wddp, sigma)
-        qm, _ = energy.batched_quadratic(immersion, Wm, Wdm, Wddm, sigma)
-        vals = 0.25 * (qp - qm)
-        H[ia, ib] = vals
-        H[ib, ia] = vals
-    H[np.diag_indices(M)] = diag
-
-    if sphere:
-        # retraction-curvature correction DA^sigma(-(w_a . w_b) Phi)
-        P, Pd, Pdd = immersion.derivatives()
-        full = [(a, b) for a in range(M) for b in range(a, M)]
-        for lo in range(0, len(full), chunk):
-            batch = full[lo:lo + chunk]
-            ia = np.array([p[0] for p in batch])
-            ib = np.array([p[1] for p in batch])
-            V, Vd, Vdd = _retraction_triples(
-                P, Pd, Pdd, W[ia], Wd[ia], Wdd[ia], W[ib], Wd[ib], Wdd[ib])
-            corr = energy.batched_linear(immersion, V, Vd, Vdd, sigma)
-            H[ia, ib] += corr
-            off = ia != ib
-            H[ib[off], ia[off]] += corr[off]
-
+    K = energy.hessian_kernel(immersion, sigma, chunk=chunk)
+    Y = energy.node_coordinates(*basis.triples())
+    H = np.einsum("anp,npq,bnq->ab", Y, K, Y, optimize=True)
     H = 0.5 * (H + H.T)
+    H[np.diag_indices(len(basis))] = diag
     return H, G, grad_norm
 
 
@@ -225,29 +187,11 @@ def hessian_diagonal(immersion, basis, sigma, chunk=64):
         P, Pd, Pdd = immersion.derivatives()
         for lo in range(0, M, chunk):
             hi = min(M, lo + chunk)
-            V, Vd, Vdd = _retraction_triples(
-                P, Pd, Pdd, W[lo:hi], Wd[lo:hi], Wdd[lo:hi],
-                W[lo:hi], Wd[lo:hi], Wdd[lo:hi])
+            field = (W[lo:hi], Wd[lo:hi], Wdd[lo:hi])
+            V, Vd, Vdd = energy._retraction_curvature_triple(
+                P, Pd, Pdd, *field, *field)
             diag[lo:hi] += energy.batched_linear(immersion, V, Vd, Vdd, sigma)
     return diag, gram_diag, grad
-
-
-def _retraction_triples(P, Pd, Pdd, Wa, Wad, Wadd, Wb, Wbd, Wbdd):
-    """Batched product-rule derivatives of -(w_a . w_b) Phi."""
-    s = np.einsum("...q,...q->...", Wa, Wb)
-    s_i = (np.einsum("...iq,...q->...i", Wad, Wb)
-           + np.einsum("...q,...iq->...i", Wa, Wbd))
-    s_ij = (np.einsum("...ijq,...q->...ij", Wadd, Wb)
-            + np.einsum("...iq,...jq->...ij", Wad, Wbd)
-            + np.einsum("...jq,...iq->...ij", Wad, Wbd)
-            + np.einsum("...q,...ijq->...ij", Wa, Wbdd))
-    V = -s[..., None] * P
-    Vd = -(s_i[..., None] * P[..., None, :] + s[..., None, None] * Pd)
-    Vdd = -(s_ij[..., None] * P[..., None, None, :]
-            + s_i[..., :, None, None] * Pd[..., None, :, :]
-            + s_i[..., None, :, None] * Pd[..., :, None, :]
-            + s[..., None, None, None] * Pdd)
-    return V, Vd, Vdd
 
 
 class SpectrumReport:
