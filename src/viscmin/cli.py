@@ -17,6 +17,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
+import inspect
 
 import numpy as np
 
@@ -354,14 +355,14 @@ def _cmd_continue(cfg):
         im = surface.make_preset(start, resolution=resolution)
     else:
         im = io.load_immersion(start)
+    known = inspect.signature(continuation.ContinuationConfig).parameters
+    bad = sorted(set(raw) - set(known))
+    if bad:
+        raise UnknownKey(bad[0], f"unknown continuation keys: {bad}")
     try:
         ccfg = continuation.ContinuationConfig(**raw)
-    except TypeError:
-        known = ("sigma_schedule", "newton_tol", "max_newton",
-                 "newton_cutoff", "spectrum_cutoff", "eps_neg", "seed")
-        bad = sorted(set(raw) - set(known))
-        raise UnknownKey(bad[0] if bad else "config",
-                         f"unknown continuation keys: {bad}")
+    except (TypeError, ValueError) as exc:
+        raise ParseError("config", f"cannot parse continuation config: {exc}")
     out_dir = cfg["output"]
     os.makedirs(out_dir, exist_ok=True)
     result = continuation.run_continuation(ccfg, im)

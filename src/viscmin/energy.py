@@ -99,11 +99,22 @@ def first_variation_samples(immersion, W, Wd, Wdd):
     product-rule fields (like retraction curvatures) through exactly.
     """
     geom = immersion.geometry
+    d_area, d_f = _first_variation_densities(immersion, W, Wd, Wdd)
+    return {"d_area": geom.integrate(d_area), "d_f": geom.integrate(d_f)}
+
+
+def _strain(geom, Wd):
+    """Metric variation u_ij = sym(P_i . W_j) and its trace tr_g u."""
     u = 0.5 * (np.einsum("...iq,...jq->...ij", geom.Pd, Wd)
                + np.einsum("...iq,...jq->...ij", Wd, geom.Pd))
-    tr_u = np.einsum("...ij,...ij->...", geom.ginv, u)
-    d_area = geom.integrate(tr_u)
+    return u, np.einsum("...ij,...ij->...", geom.ginv, u)
 
+
+def _first_variation_densities(immersion, W, Wd, Wdd):
+    """Per-node first variations of the area and F densities, to be
+    integrated against dvol; leading batch axes of the triple pass through."""
+    geom = immersion.geometry
+    u, tr_u = _strain(geom, Wd)
     v = _covariant_hessian_samples(geom, Wd, Wdd)
     # <II, D^g dw>_g with both index pairs swept by the inverse metric
     pair = np.einsum("...ik,...jl,...ijq,...klq->...",
@@ -117,8 +128,7 @@ def first_variation_samples(immersion, W, Wd, Wdd):
         # contributes tr_g(II) . w
         d_ii2 = d_ii2 + 2.0 * np.einsum("...q,...q->...", geom.trace_II, W)
     e = 1.0 + geom.II_norm2
-    d_f = geom.integrate(2.0 * e * d_ii2 + e * e * tr_u)
-    return {"d_area": float(d_area), "d_f": float(d_f)}
+    return tr_u, 2.0 * e * d_ii2 + e * e * tr_u
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +186,8 @@ def second_variation_area_terms(immersion, w):
     if not isinstance(w, Variation):
         w = Variation(immersion, samples=np.asarray(w, dtype=float))
     geom = immersion.geometry
-    W, Wd, Wdd = w.derivatives()
-    u = 0.5 * (np.einsum("...iq,...jq->...ij", geom.Pd, Wd)
-               + np.einsum("...iq,...jq->...ij", Wd, geom.Pd))
-    tr_u = np.einsum("...ij,...ij->...", geom.ginv, u)
+    _, Wd, _ = w.derivatives()
+    u, tr_u = _strain(geom, Wd)
     dw2 = np.einsum("...ij,...iq,...jq->...", geom.ginv, Wd, Wd)
     uu = np.einsum("...ik,...jl,...ij,...kl->...",
                    geom.ginv, geom.ginv, u, u)
@@ -255,24 +263,10 @@ def batched_quadratic(immersion, W, Wd, Wdd, sigma):
 
 def batched_linear(immersion, V, Vd, Vdd, sigma):
     """DA^sigma on a batch of raw sample triples (B,) results."""
-    geom = immersion.geometry
-    u = 0.5 * (np.einsum("...iq,...jq->...ij", geom.Pd, Vd)
-               + np.einsum("...iq,...jq->...ij", Vd, geom.Pd))
-    tr_u = np.einsum("...ij,...ij->...", geom.ginv, u)
-    dvol = geom.dvol
-    d_area = np.sum(tr_u * dvol, axis=-1)
-    v = _covariant_hessian_samples(geom, Vd, Vdd)
-    pair = np.einsum("...ik,...jl,...ijq,...klq->...",
-                     geom.ginv, geom.ginv, geom.II, v)
-    u_up = np.einsum("...ia,...kb,...ab->...ik", geom.ginv, geom.ginv, u)
-    t1 = np.einsum("...ik,...jl,...ijq,...klq->...",
-                   u_up, geom.ginv, geom.II, geom.II)
-    d_ii2 = 2.0 * pair - 4.0 * t1
-    if immersion.ambient.kind == "sphere":
-        d_ii2 = d_ii2 + 2.0 * np.einsum("...q,...q->...", geom.trace_II, V)
-    e = 1.0 + geom.II_norm2
-    d_f = np.sum((2.0 * e * d_ii2 + e * e * tr_u) * dvol, axis=-1)
-    return d_area + sigma ** 2 * d_f
+    dvol = immersion.geometry.dvol
+    d_area, d_f = _first_variation_densities(immersion, V, Vd, Vdd)
+    return (np.sum(d_area * dvol, axis=-1)
+            + sigma ** 2 * np.sum(d_f * dvol, axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -66,13 +66,6 @@ def dzbar_field(basis, samples):
                            * mult[:, :, None]).reshape(c.shape))
 
 
-def _dbar_paired(immersion):
-    """Conformal weights of the immersion chart (cached)."""
-    geom = immersion.geometry
-    e2l = geom.conformal_factor          # dzPhi . dzbarPhi
-    return e2l
-
-
 def dbar_solve(immersion, rhs, mean_tol=MEAN_TOL):
     """Solve d/dzbar a = rhs on the torus chart.
 
@@ -100,7 +93,7 @@ def dbar_solve(immersion, rhs, mean_tol=MEAN_TOL):
     sol[nz] = c[nz] / mult[nz]
     a = basis.evaluate(sol[:, :, None])[:, 0]
     # kernel normalization: weighted mean zero, weight e^{4 lambda}
-    w4 = _dbar_paired(immersion) ** 2
+    w4 = immersion.geometry.conformal_factor ** 2
     a = a - np.sum(a * w4) / np.sum(w4)
     resid = dzbar_field(basis, a[:, None])[:, 0] - rhs
     return a, float(np.max(np.abs(resid)))
@@ -132,7 +125,7 @@ def coulomb_operator(immersion, w):
     q = basis.evaluate(basis.fit(q))
     # holomorphic quadratic differentials on the torus: constants; the
     # L2(g) pairing carries the weight e^{-2 lambda}
-    e2l = _dbar_paired(immersion)
+    e2l = immersion.geometry.conformal_factor
     wgt = 1.0 / e2l
     mean = np.sum(q * wgt) / np.sum(wgt)
     return q - mean, mean
@@ -164,7 +157,7 @@ def gauge_decompose(immersion, v):
     if not isinstance(v, Variation):
         v = Variation(immersion, samples=np.asarray(v, dtype=float))
     q, _ = coulomb_operator(immersion, v)
-    e2l = _dbar_paired(immersion)
+    e2l = immersion.geometry.conformal_factor
     # reparametrization fields b have q_{dPhi.X} = e^{2 lambda} dz(bbar);
     # match projected pairings: dz bbar = e^{-2 lambda} P(q_v), so
     # dzbar b = conj of that. The weighted projection makes the plain mean

@@ -83,13 +83,8 @@ class VariationBasis:
 
     def triples(self):
         """Stacked (W, Wd, Wdd) arrays over the whole family."""
-        Ws, Wds, Wdds = [], [], []
-        for f in self.fields:
-            W, Wd, Wdd = f.derivatives()
-            Ws.append(W)
-            Wds.append(Wd)
-            Wdds.append(Wdd)
-        return np.stack(Ws), np.stack(Wds), np.stack(Wdds)
+        W, Wd, Wdd = zip(*(f.derivatives() for f in self.fields))
+        return np.stack(W), np.stack(Wd), np.stack(Wdd)
 
     def gram(self):
         """L2(dvol) Gram matrix of the family."""
@@ -122,14 +117,11 @@ def reparametrization_basis(immersion, cutoff):
     modes, mode_labels = scalar_modes(immersion, cutoff)
     fields, labels = [], []
     for s, lab in zip(modes, mode_labels):
-        X = np.zeros((len(s), 2))
-        X[:, 0] = s
-        fields.append(tangential_field(immersion, X))
-        labels.append(lab + "*d1")
-        X = np.zeros((len(s), 2))
-        X[:, 1] = s
-        fields.append(tangential_field(immersion, X))
-        labels.append(lab + "*d2")
+        for k in range(2):
+            X = np.zeros((len(s), 2))
+            X[:, k] = s
+            fields.append(tangential_field(immersion, X))
+            labels.append(f"{lab}*d{k + 1}")
     return VariationBasis(immersion, fields, labels)
 
 
@@ -172,25 +164,20 @@ def hessian_diagonal(immersion, basis, sigma, chunk=64):
     W, Wd, Wdd = basis.triples()
     M = len(basis)
     sphere = immersion.ambient.kind == "sphere"
+    P, Pd, Pdd = immersion.derivatives()
     dvol = immersion.geometry.dvol
     gram_diag = np.einsum("anq,anq,n->a", W, W, dvol)
     grad = np.empty(M)
     diag = np.empty(M)
     for lo in range(0, M, chunk):
-        hi = min(M, lo + chunk)
-        grad[lo:hi] = energy.batched_linear(
-            immersion, W[lo:hi], Wd[lo:hi], Wdd[lo:hi], sigma)
-        q, _ = energy.batched_quadratic(
-            immersion, W[lo:hi], Wd[lo:hi], Wdd[lo:hi], sigma)
-        diag[lo:hi] = q
-    if sphere:
-        P, Pd, Pdd = immersion.derivatives()
-        for lo in range(0, M, chunk):
-            hi = min(M, lo + chunk)
-            field = (W[lo:hi], Wd[lo:hi], Wdd[lo:hi])
+        field = (W[lo:lo + chunk], Wd[lo:lo + chunk], Wdd[lo:lo + chunk])
+        grad[lo:lo + chunk] = energy.batched_linear(immersion, *field, sigma)
+        q, _ = energy.batched_quadratic(immersion, *field, sigma)
+        if sphere:
             V, Vd, Vdd = energy._retraction_curvature_triple(
                 P, Pd, Pdd, *field, *field)
-            diag[lo:hi] += energy.batched_linear(immersion, V, Vd, Vdd, sigma)
+            q = q + energy.batched_linear(immersion, V, Vd, Vdd, sigma)
+        diag[lo:lo + chunk] = q
     return diag, gram_diag, grad
 
 

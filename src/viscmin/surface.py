@@ -20,7 +20,7 @@ from .sphharm import SphHarmBasis
 
 __all__ = [
     "SurfaceTopology", "SampledImmersion", "Variation", "GeometryData",
-    "vdot", "pointwise_geometry", "compute_geometry", "make_preset",
+    "vdot", "pointwise_geometry", "make_preset",
     "preset_names", "normal_frame", "project_normal_bundle",
     "tangential_field", "tangent_project", "random_variation",
     "gauss_bonnet_defect", "brioschi_curvature",
@@ -227,23 +227,13 @@ class GeometryData:
         self.conformal_factor = 0.25 * (g11 + g22)  # dzPhi . dzbarPhi
         self.conformal_defect = float(np.max(
             np.maximum(np.abs(g11 - g22), 2.0 * np.abs(g12)) / (g11 + g22)))
-        self._gram_inv = pw["gram_inv"]
-        self._frame = pw["frame"]
+        self._project_normal = pw["project_normal"]
 
     # -- projections ----------------------------------------------------------
 
     def project_normal(self, X):
         """Pointwise orthogonal projection onto the normal bundle."""
-        X = np.asarray(X, dtype=float)
-        out = X.copy()
-        k = len(self._frame)
-        for a in range(k):
-            coeff = 0.0
-            for b in range(k):
-                coeff = coeff + self._gram_inv[a][b] * np.sum(
-                    self._frame[b] * X, axis=-1)
-            out -= coeff[..., None] * self._frame[a]
-        return out
+        return self._project_normal(np.asarray(X, dtype=float))
 
     def project_tangent(self, X):
         return np.asarray(X, dtype=float) - self.project_normal(X)
@@ -257,11 +247,6 @@ class GeometryData:
     @property
     def area(self):
         return float(np.sum(self.dvol))
-
-
-def compute_geometry(immersion):
-    """Geometry of an immersion on its own grid (cached on the immersion)."""
-    return immersion.geometry
 
 
 def gauss_bonnet_defect(geometry, topology):
@@ -376,19 +361,9 @@ class SampledImmersion:
 
     def derivatives(self):
         """(P, Pd, Pdd) on the grid: positions, chart 1st and 2nd derivatives."""
-        if "Pd" not in self._cache:
-            b, c = self.basis, self.coeffs
-            P = self.samples()
-            Pd = np.stack([_real(b.evaluate(c, (1, 0))),
-                           _real(b.evaluate(c, (0, 1)))], axis=-2)
-            up = _real(b.evaluate(c, (2, 0)))
-            uv = _real(b.evaluate(c, (1, 1)))
-            vv = _real(b.evaluate(c, (0, 2)))
-            Pdd = np.stack([np.stack([up, uv], -2),
-                            np.stack([uv, vv], -2)], axis=-3)
-            self._cache["Pd"] = Pd
-            self._cache["Pdd"] = Pdd
-        return self.samples(), self._cache["Pd"], self._cache["Pdd"]
+        if "d" not in self._cache:
+            self._cache["d"] = _chart_derivatives(self.basis, self.coeffs)
+        return (self.samples(), *self._cache["d"])
 
     @property
     def geometry(self):
@@ -445,6 +420,19 @@ def _real(x):
     return x.real if np.iscomplexobj(x) else x
 
 
+def _chart_derivatives(basis, coeffs):
+    """Chart first and second derivatives (d, dd) of the field synthesized
+    from coeffs, shaped (N, 2, Q) and (N, 2, 2, Q)."""
+    d = np.stack([_real(basis.evaluate(coeffs, (1, 0))),
+                  _real(basis.evaluate(coeffs, (0, 1)))], axis=-2)
+    uu = _real(basis.evaluate(coeffs, (2, 0)))
+    uv = _real(basis.evaluate(coeffs, (1, 1)))
+    vv = _real(basis.evaluate(coeffs, (0, 2)))
+    dd = np.stack([np.stack([uu, uv], -2),
+                   np.stack([uv, vv], -2)], axis=-3)
+    return d, dd
+
+
 # ---------------------------------------------------------------------------
 # variations
 # ---------------------------------------------------------------------------
@@ -478,18 +466,11 @@ class Variation:
         return self._cache["W"]
 
     def derivatives(self):
-        if "Wd" not in self._cache:
-            b, c = self.immersion.basis, self.coeffs
-            Wd = np.stack([_real(b.evaluate(c, (1, 0))),
-                           _real(b.evaluate(c, (0, 1)))], axis=-2)
-            up = _real(b.evaluate(c, (2, 0)))
-            uv = _real(b.evaluate(c, (1, 1)))
-            vv = _real(b.evaluate(c, (0, 2)))
-            Wdd = np.stack([np.stack([up, uv], -2),
-                            np.stack([uv, vv], -2)], axis=-3)
-            self._cache["Wd"] = Wd
-            self._cache["Wdd"] = Wdd
-        return self.values, self._cache["Wd"], self._cache["Wdd"]
+        """(W, Wd, Wdd) on the grid: values, chart 1st and 2nd derivatives."""
+        if "d" not in self._cache:
+            self._cache["d"] = _chart_derivatives(self.immersion.basis,
+                                                  self.coeffs)
+        return (self.values, *self._cache["d"])
 
     def tangency_defect(self):
         """sup |Phi . w| (sphere ambient); 0 in Euclidean ambient."""
@@ -555,20 +536,10 @@ def tangent_project(immersion, samples, tol=5e-9, max_sweeps=80):
 def random_variation(immersion, seed, amplitude=1.0, band=None, tangent=False):
     """Seeded band-limited variation, optionally projected tangent to the
     ambient sphere (alternating projection, see tangent_project)."""
-    rng = np.random.default_rng(seed)
     basis = immersion.basis
-    Q = immersion.ambient.dim
-    if isinstance(basis, FourierBasis):
-        bmax = basis.mmax if band is None else min(band, basis.mmax)
-        helper = FourierBasis(max(5, 2 * bmax + 1))
-        vec = rng.standard_normal((helper.mode_count, Q))
-        coeffs = helper.unpack_real(vec)
-        w = _real(helper.evaluate_at(coeffs, basis.grid_points))
-    else:
-        bmax = basis.degree if band is None else min(band, basis.degree)
-        helper = SphHarmBasis(max(2, bmax))
-        vec = rng.standard_normal((helper.mode_count, Q))
-        w = _real(helper.evaluate_at(vec, basis.grid_points))
+    top = basis.mmax if isinstance(basis, FourierBasis) else basis.degree
+    w = _seeded_samples(basis, seed, top if band is None else min(band, top),
+                        immersion.ambient.dim)
     w *= amplitude / max(1e-300, np.max(np.linalg.norm(w, axis=-1)))
     if tangent and immersion.ambient.kind == "sphere":
         return tangent_project(immersion, w)
@@ -630,14 +601,6 @@ def normal_frame(immersion):
 # presets
 # ---------------------------------------------------------------------------
 
-def _torus_product_samples(basis, a):
-    b = np.sqrt(1.0 - a * a)
-    u = basis.grid_points[:, 0]
-    v = basis.grid_points[:, 1]
-    return np.column_stack([a * np.cos(u), a * np.sin(u),
-                            b * np.cos(v), b * np.sin(v)])
-
-
 def _sphere_chart_samples(basis, radius=1.0):
     th = basis.grid_points[:, 0]
     ph = basis.grid_points[:, 1]
@@ -646,19 +609,18 @@ def _sphere_chart_samples(basis, radius=1.0):
                                      np.cos(th)])
 
 
-def _seeded_scalar(basis, seed, band):
-    """Seeded band-limited scalar with unit sup norm on the grid."""
+def _seeded_samples(basis, seed, band, width):
+    """Seeded field of ``width`` components on the grid of basis: standard
+    normal coefficients of a helper basis of the given band, synthesized."""
     rng = np.random.default_rng(seed)
     if isinstance(basis, FourierBasis):
         helper = FourierBasis(max(5, 2 * band + 1))
-        vec = rng.standard_normal((helper.mode_count, 1))
-        s = _real(helper.evaluate_at(helper.unpack_real(vec),
-                                     basis.grid_points))[:, 0]
+        coeffs = helper.unpack_real(
+            rng.standard_normal((helper.mode_count, width)))
     else:
         helper = SphHarmBasis(max(2, band))
-        vec = rng.standard_normal((helper.mode_count, 1))
-        s = _real(helper.evaluate_at(vec, basis.grid_points))[:, 0]
-    return s / np.max(np.abs(s))
+        coeffs = rng.standard_normal((helper.mode_count, width))
+    return _real(helper.evaluate_at(coeffs, basis.grid_points))
 
 
 _PRESETS = {}
@@ -675,30 +637,33 @@ def _preset(name):
     return deco
 
 
+def _product_torus_immersion(resolution, ambient, a):
+    """The torus (a e^{iu}, b e^{iv}) with a^2 + b^2 = 1."""
+    basis = FourierBasis(resolution)
+    b = np.sqrt(1.0 - a * a)
+    u = basis.grid_points[:, 0]
+    v = basis.grid_points[:, 1]
+    samples = np.column_stack([a * np.cos(u), a * np.sin(u),
+                               b * np.cos(v), b * np.sin(v)])
+    return SampledImmersion.from_samples(
+        ambient, SurfaceTopology(1), basis, samples)
+
+
 @_preset("clifford_torus")
 def _clifford(resolution, **kw):
-    basis = FourierBasis(resolution)
-    samples = _torus_product_samples(basis, np.sqrt(0.5))
-    return SampledImmersion.from_samples(
-        UnitSphere(4), SurfaceTopology(1), basis, samples)
+    return _product_torus_immersion(resolution, UnitSphere(4), np.sqrt(0.5))
 
 
 @_preset("clifford_in_r4")
 def _clifford_r4(resolution, **kw):
-    basis = FourierBasis(resolution)
-    samples = _torus_product_samples(basis, np.sqrt(0.5))
-    return SampledImmersion.from_samples(
-        Euclidean(4), SurfaceTopology(1), basis, samples)
+    return _product_torus_immersion(resolution, Euclidean(4), np.sqrt(0.5))
 
 
 @_preset("product_torus")
 def _product_torus(resolution, a=0.6, **kw):
     if not 0.05 < a < 0.999:
         raise UnknownPreset(f"product torus radius a={a} out of range")
-    basis = FourierBasis(resolution)
-    samples = _torus_product_samples(basis, float(a))
-    return SampledImmersion.from_samples(
-        UnitSphere(4), SurfaceTopology(1), basis, samples)
+    return _product_torus_immersion(resolution, UnitSphere(4), float(a))
 
 
 @_preset("equator_s2_in_s3")
@@ -718,45 +683,25 @@ def _round_sphere(resolution, radius=1.0, **kw):
         Euclidean(3), SurfaceTopology(0), basis, samples)
 
 
-@_preset("perturbed_clifford")
-def _perturbed_clifford(resolution, amplitude=0.02, seed=1, band=2, **kw):
-    base = _clifford(resolution)
-    s = _seeded_scalar(base.basis, seed, band) * float(amplitude)
-    nu = normal_frame(base)[0]
-    return SampledImmersion.from_samples(
-        base.ambient, base.topology, base.basis,
-        base.samples() + s[:, None] * nu)
+def _perturbed(base_preset, direction=None):
+    """Preset moving the base preset along a seeded scalar of unit sup norm
+    times a direction field: a fixed ambient vector, or the first normal
+    frame field when direction is None."""
+    def build(resolution, amplitude=0.02, seed=1, band=2, **kw):
+        base = base_preset(resolution)
+        s = _seeded_samples(base.basis, seed, band, 1)[:, 0]
+        s = s / np.max(np.abs(s)) * float(amplitude)
+        nu = normal_frame(base)[0] if direction is None else direction
+        return SampledImmersion.from_samples(
+            base.ambient, base.topology, base.basis,
+            base.samples() + s[:, None] * nu)
+    return build
 
 
-@_preset("perturbed_equator")
-def _perturbed_equator(resolution, amplitude=0.02, seed=1, band=2, **kw):
-    base = _equator(resolution)
-    s = _seeded_scalar(base.basis, seed, band) * float(amplitude)
-    e4 = np.zeros((base.basis.num_nodes, 4))
-    e4[:, 3] = 1.0
-    return SampledImmersion.from_samples(
-        base.ambient, base.topology, base.basis,
-        base.samples() + s[:, None] * e4)
-
-
-@_preset("perturbed_round_sphere")
-def _perturbed_round_sphere(resolution, amplitude=0.02, seed=1, band=2, **kw):
-    base = _round_sphere(resolution)
-    s = _seeded_scalar(base.basis, seed, band) * float(amplitude)
-    nu = normal_frame(base)[0]
-    return SampledImmersion.from_samples(
-        base.ambient, base.topology, base.basis,
-        base.samples() + s[:, None] * nu)
-
-
-@_preset("perturbed_clifford_in_r4")
-def _perturbed_clifford_r4(resolution, amplitude=0.02, seed=1, band=2, **kw):
-    base = _clifford_r4(resolution)
-    s = _seeded_scalar(base.basis, seed, band) * float(amplitude)
-    nu = normal_frame(base)[0]
-    return SampledImmersion.from_samples(
-        base.ambient, base.topology, base.basis,
-        base.samples() + s[:, None] * nu)
+_PRESETS["perturbed_clifford"] = _perturbed(_clifford)
+_PRESETS["perturbed_equator"] = _perturbed(_equator, np.eye(4)[3])
+_PRESETS["perturbed_round_sphere"] = _perturbed(_round_sphere)
+_PRESETS["perturbed_clifford_in_r4"] = _perturbed(_clifford_r4)
 
 
 def make_preset(name, resolution, **params):

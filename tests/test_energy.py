@@ -53,6 +53,25 @@ def test_first_variation_matches_fd(perturbed_clifford, perturbed_equator):
             assert_allclose(fv["d_f"], fd_f, rtol=1e-6, atol=1e-8)
 
 
+@pytest.mark.parametrize("name", ["perturbed_clifford", "perturbed_equator",
+                                  "round_sphere"])
+def test_batched_linear_matches_first_variation(request, name):
+    # the batched gradient of the hessian diagonal is DA^sigma of each field,
+    # bit for bit, not just to roundoff
+    im = request.getfixturevalue(name)
+    sigma = 0.3
+    fields = [surface.random_variation(im, seed=seed, amplitude=0.01, band=2)
+              for seed in range(4)]
+    W, Wd, Wdd = (np.stack(x) for x in zip(*(w.derivatives() for w in fields)))
+    batched = energy.batched_linear(im, W, Wd, Wdd, sigma)
+    expected = []
+    for w in fields:
+        fv = energy.first_variation_samples(im, *w.derivatives())
+        expected.append(fv["d_area"] + sigma ** 2 * fv["d_f"])
+    assert np.all(np.abs(batched) > 1e-6)
+    assert np.array_equal(batched, expected)
+
+
 def test_second_variation_matches_fd(perturbed_clifford):
     im = perturbed_clifford
     for seed in range(3):

@@ -242,6 +242,23 @@ def test_cli_continue_short_run(tmp_path):
     assert cli.main(["energy", "--input", stage_path]) == 0
 
 
+@pytest.mark.parametrize("bad", [{"newton_tol": "abc"},
+                                 {"sigma_schedule": 5}])
+def test_cli_continue_bad_config_value(tmp_path, capsys, bad):
+    # a known key with a value the config cannot take is a parse error,
+    # reported like every other validation failure
+    cfg_path = str(tmp_path / "run.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"start": "clifford_torus", "resolution": 8, **bad}, fh)
+    code = cli.main(["continue", "--config", cfg_path,
+                     "--output", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert err["field"] == "config"
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     # validation failure: exit 2 with structured JSON on stderr
     code = cli.main(["energy", "--input", "x.json", "--sigma", "-3"])
