@@ -10,9 +10,10 @@ import os
 import sys
 
 # pin BLAS before numpy first loads so eigensolves are single-threaded
-# and bit-stable; --threads only sets the chunk size (the hessian kernel
-# directions per jet pass), never the arithmetic (library users importing
-# viscmin directly are unaffected)
+# and bit-stable (library users importing viscmin directly are
+# unaffected).  The jet passes run on every CPU in the affinity mask;
+# --threads only scales the jet directions in flight (the chunk size).
+# Neither changes the arithmetic, so no output depends on either
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

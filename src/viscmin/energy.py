@@ -14,6 +14,10 @@ Three independent evaluation routes coexist on purpose:
 Cross-checking these against each other is what the test suite does.
 """
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from .errors import NotTangent, ShapeMismatch
@@ -251,6 +255,60 @@ def second_variation_constrained(immersion, w, w_other=None, sigma=0.0,
 # batched forms for hessian assembly
 # ---------------------------------------------------------------------------
 
+def _cpu_count():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_pieces(immersion, total, chunk, run):
+    """Call run(lo, hi) over consecutive pieces covering range(total), on
+    every CPU.
+
+    Pieces hold ceil(min(chunk, total) / workers) directions, so about
+    ``chunk`` directions are in flight at once; the calling thread takes
+    pieces alongside workers - 1 pool threads (none on one CPU).  Each
+    piece must write only its own slices.  The immersion's lazy caches are
+    filled here, on the calling thread, before any piece runs.  If pieces
+    fail, the exception of the first of them is re-raised unchanged.
+    """
+    if total == 0:
+        return
+    immersion.derivatives()
+    _ = immersion.geometry
+    workers = _cpu_count()
+    step = -(-min(chunk, total) // workers)
+    starts = iter(range(0, total, step))
+    lock = threading.Lock()
+    errors = {}
+
+    def drain():
+        while True:
+            with lock:
+                lo = None if errors else next(starts, None)
+            if lo is None:
+                return
+            try:
+                run(lo, min(total, lo + step))
+            except BaseException as exc:
+                with lock:
+                    errors[lo] = exc
+                return
+
+    helpers = min(workers, -(-total // step)) - 1
+    if helpers > 0:
+        with ThreadPoolExecutor(helpers) as pool:
+            futures = [pool.submit(drain) for _ in range(helpers)]
+            drain()
+        for future in futures:
+            future.result()
+    else:
+        drain()
+    if errors:
+        raise errors[min(errors)]
+
+
 def batched_quadratic(immersion, W, Wd, Wdd, sigma):
     """d2 A^sigma (ambient, diagonal) for a batch of variation triples.
 
@@ -301,9 +359,10 @@ def _node_kernels(immersion, chunk):
 
     Returns (K_area, K_f, g_area, g_f) with K of shape (N, 6Q, 6Q) and g of
     shape (N, 6Q), in the coordinates of node_coordinates.  One jet pass
-    over the 6Q(6Q+1)/2 coordinate directions, at most ``chunk`` of them
-    per batch: diagonals from e_i, off-diagonals from e_i + e_j by
-    polarization.  The cost does not depend on any variation basis.
+    over the 6Q(6Q+1)/2 coordinate directions, run by _run_pieces with
+    about ``chunk`` of them in flight: diagonals from e_i, off-diagonals
+    from e_i + e_j by polarization.  The cost does not depend on any
+    variation basis.
     """
     n = 6 * immersion.ambient.dim
     ii, jj = np.triu_indices(n)
@@ -311,17 +370,20 @@ def _node_kernels(immersion, chunk):
     E = np.zeros((len(ii), n))
     E[rows, ii] = 1.0
     E[rows, jj] = 1.0
+    diag = ii == jj
     num_nodes = immersion.basis.num_nodes
     c = np.empty((2, len(ii), num_nodes))
-    b = np.empty((2, len(ii), num_nodes))
-    for lo in range(0, len(ii), chunk):
-        hi = min(len(ii), lo + chunk)
+    # the gradients are read off the diagonal directions e_i only
+    b = np.empty((2, n, num_nodes))
+
+    def run(lo, hi):
         dens = _jet_densities(immersion, *_coordinate_triple(E[lo:hi]))
+        on_diag = diag[lo:hi]
         for k, d in enumerate(dens):
             c[k, lo:hi] = d.c
-            b[k, lo:hi] = d.b
-    # triu_indices lists the diagonal directions in order of i
-    diag = ii == jj
+            b[k, ii[lo:hi][on_diag]] = d.b[on_diag]
+
+    _run_pieces(immersion, len(ii), chunk, run)
     kernels = []
     for ck in c:
         kd = ck[diag]
@@ -330,7 +392,7 @@ def _node_kernels(immersion, chunk):
         K[:, ii, jj] = vals.T
         K[:, jj, ii] = vals.T
         kernels.append(K)
-    g_area, g_f = (bk[diag].T.copy() for bk in b)
+    g_area, g_f = (bk.T.copy() for bk in b)
     return kernels[0], kernels[1], g_area, g_f
 
 
@@ -372,7 +434,9 @@ def hessian_kernel(immersion, sigma, chunk=64):
 
     K_n = K_area,n + sigma^2 K_F,n, plus the retraction-curvature form in
     the sphere ambient, so that sum_n y_a(n)^T K_n y_b(n) is the polarized
-    second_variation_constrained of w_a and w_b.
+    second_variation_constrained of w_a and w_b.  The jet pass runs on
+    every CPU with about ``chunk`` directions in flight; the result is
+    bit-identical for any CPU count and chunk.
     """
     K_area, K_f, g_area, g_f = _node_kernels(immersion, chunk)
     K = K_area + sigma ** 2 * K_f

@@ -133,9 +133,10 @@ def assemble_hessian(immersion, basis, sigma, chunk=64, warn_critical=True):
     NonCriticalWarning when the gradient norm is not small.
 
     H is contracted from the per-node second-derivative kernels of
-    energy.hessian_kernel, built once per call with at most ``chunk``
-    kernel directions per jet pass; the gradient and the diagonal come
-    from hessian_diagonal.
+    energy.hessian_kernel, built once per call; the gradient and the
+    diagonal come from hessian_diagonal.  Both jet passes run on every
+    CPU with about ``chunk`` directions in flight, and the results are
+    bit-identical for any CPU count and chunk.
     """
     diag, _, grad = hessian_diagonal(immersion, basis, sigma, chunk=chunk)
     G = basis.gram()
@@ -157,9 +158,11 @@ def assemble_hessian(immersion, basis, sigma, chunk=64, warn_critical=True):
 def hessian_diagonal(immersion, basis, sigma, chunk=64):
     """Diagonal of the constrained hessian plus gradient, no off-diagonal.
 
-    Returns (diag, gram_diag, grad). One jet pass per chunk, so this scales
-    to full-band bases where the dense assembly would not; used by the
-    mode-preconditioned critical point solver.
+    Returns (diag, gram_diag, grad). The basis fields go through the jet
+    pass in pieces on every CPU, about ``chunk`` of them in flight, so
+    this scales to full-band bases where the dense assembly would not;
+    used by the mode-preconditioned critical point solver.  The results
+    are bit-identical for any CPU count and chunk.
     """
     W, Wd, Wdd = basis.triples()
     M = len(basis)
@@ -169,15 +172,18 @@ def hessian_diagonal(immersion, basis, sigma, chunk=64):
     gram_diag = np.einsum("anq,anq,n->a", W, W, dvol)
     grad = np.empty(M)
     diag = np.empty(M)
-    for lo in range(0, M, chunk):
-        field = (W[lo:lo + chunk], Wd[lo:lo + chunk], Wdd[lo:lo + chunk])
-        grad[lo:lo + chunk] = energy.batched_linear(immersion, *field, sigma)
+
+    def run(lo, hi):
+        field = (W[lo:hi], Wd[lo:hi], Wdd[lo:hi])
+        grad[lo:hi] = energy.batched_linear(immersion, *field, sigma)
         q, _ = energy.batched_quadratic(immersion, *field, sigma)
         if sphere:
             V, Vd, Vdd = energy._retraction_curvature_triple(
                 P, Pd, Pdd, *field, *field)
             q = q + energy.batched_linear(immersion, V, Vd, Vdd, sigma)
-        diag[lo:lo + chunk] = q
+        diag[lo:hi] = q
+
+    energy._run_pieces(immersion, M, chunk, run)
     return diag, gram_diag, grad
 
 

@@ -9,6 +9,8 @@ same code produces plain values (arrays in) and first/second variations
 along a family (jets in).
 """
 
+import operator
+
 import numpy as np
 
 from .ambient import AmbientManifold, Euclidean, UnitSphere, ambient_from_dict
@@ -140,9 +142,10 @@ def pointwise_geometry(P, Pd, Pdd, ambient):
         c22 = g11 * g22 - g12 * g12
         det3 = g11 * c00 + g12 * c01 + s1 * c02
         inv3 = 1.0 / det3 if not isinstance(det3, Jet2) else det3.reciprocal()
-        gram_inv = ((c00 * inv3, c01 * inv3, c02 * inv3),
-                    (c01 * inv3, c11 * inv3, c12 * inv3),
-                    (c02 * inv3, c12 * inv3, c22 * inv3))
+        t01, t02, t12 = c01 * inv3, c02 * inv3, c12 * inv3
+        gram_inv = ((c00 * inv3, t01, t02),
+                    (t01, c11 * inv3, t12),
+                    (t02, t12, c22 * inv3))
     else:
         frame = (P1, P2)
         gram_inv = ((i11, i12), (i12, i22))
@@ -151,11 +154,12 @@ def pointwise_geometry(P, Pd, Pdd, ambient):
 
     def project_normal(X):
         """Orthogonal projection onto the normal bundle of the frame."""
+        dots = [vdot(f, X) for f in frame]
         out = X
         for a in range(k):
             coeff = 0.0
             for b in range(k):
-                coeff = coeff + gram_inv[a][b] * vdot(frame[b], X)
+                coeff = coeff + gram_inv[a][b] * dots[b]
             out = out - _ex(coeff) * frame[a]
         return out
 
@@ -163,15 +167,19 @@ def pointwise_geometry(P, Pd, Pdd, ambient):
           [None, project_normal(Pdd[..., 1, 1, :])]]
     II[1][0] = II[0][1]
 
+    # |II|^2 = sum over (i, j, r, s) of g^ir g^js (II_ij . II_rs); the
+    # symmetric slots share objects, so 9 distinct products of each kind
+    # serve the 16 terms, summed in the same order
+    slots = [(i, j, r, s) for i in range(2) for j in range(2)
+             for r in range(2) for s in range(2)]
+    weights = _each_product_once(
+        [(ginv[i][r], ginv[j][s]) for i, j, r, s in slots],
+        operator.mul)
+    dots = _each_product_once(
+        [(II[i][j], II[r][s]) for i, j, r, s in slots], vdot)
     II2 = 0.0
-    for i in range(2):
-        for j in range(2):
-            for r in range(2):
-                for s in range(2):
-                    II2 = II2 + ginv[i][r] * ginv[j][s] * vdot(II[i][j], II[r][s])
-
-    trace_II = (_ex(i11) * II[0][0] + 2.0 * _ex(i12) * II[0][1]
-                + _ex(i22) * II[1][1])
+    for weight, dot in zip(weights, dots):
+        II2 = II2 + weight * dot
 
     return {
         "g": (g11, g12, g22),
@@ -183,8 +191,20 @@ def pointwise_geometry(P, Pd, Pdd, ambient):
         "project_normal": project_normal,
         "II": II,
         "II2": II2,
-        "trace_II": trace_II,
     }
+
+
+def _each_product_once(pairs, product):
+    """Yield product(x, y) for each (x, y) of pairs in order, forming the
+    product of the same two objects (in the same order) only once and
+    dropping it after its last use."""
+    last = {(id(x), id(y)): n for n, (x, y) in enumerate(pairs)}
+    memo = {}
+    for n, (x, y) in enumerate(pairs):
+        key = (id(x), id(y))
+        if key not in memo:
+            memo[key] = product(x, y)
+        yield memo.pop(key) if last[key] == n else memo[key]
 
 
 class GeometryData:
@@ -215,7 +235,8 @@ class GeometryData:
         self.II = np.stack([np.stack([II[0][0], II[0][1]], -2),
                             np.stack([II[0][1], II[1][1]], -2)], -3)
         self.II_norm2 = pw["II2"]
-        self.trace_II = pw["trace_II"]
+        self.trace_II = (_ex(i11) * II[0][0] + 2.0 * _ex(i12) * II[0][1]
+                         + _ex(i22) * II[1][1])
         self.mean_curvature = 0.5 * self.trace_II
         # trace-free part of II
         self.h0 = self.II - 0.5 * self.g[..., None] * self.trace_II[:, None, None, :]

@@ -1,9 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from viscmin import energy, morse, surface
-from viscmin.errors import GramNotSPD, NonCriticalWarning
+from viscmin.errors import GramNotSPD, NoConvergence, NonCriticalWarning
 from viscmin.sphharm import SphHarmBasis
 
 # Closed-form sigma spectrum of the clifford torus.  On the normal modes
@@ -303,3 +305,49 @@ def test_low_spectrum_stable_under_grid_refinement(request, fixture):
     lo = np.sort(coarse.eigenvalues)[:9]
     hi = np.sort(fine.eigenvalues)[:9]
     assert_allclose(hi, lo, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("fixture", ["perturbed_clifford", "perturbed_equator"])
+def test_jet_passes_independent_of_cpu_count(request, monkeypatch, fixture):
+    # the passes split their directions over every CPU; the pieces write
+    # disjoint slices of arrays that start uninitialized, so a lost or
+    # misplaced piece would change bits.  Three workers on fewer cores with
+    # a short switch interval interleave the pieces as much as possible
+    im = request.getfixturevalue(fixture)
+    basis = morse.normal_variation_basis(im, 1)
+
+    def passes(cpus, chunk):
+        monkeypatch.setattr(energy, "_cpu_count", lambda: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            H, G, grad_norm = morse.assemble_hessian(
+                im, basis, 0.3, chunk=chunk, warn_critical=False)
+            diag = morse.hessian_diagonal(im, basis, 0.3, chunk=chunk)
+        finally:
+            sys.setswitchinterval(interval)
+        return (H, G, np.array(grad_norm)) + diag
+
+    ref = passes(1, 64)
+    for cpus, chunk in [(1, 7), (3, 7), (3, 64)]:
+        for a, b in zip(ref, passes(cpus, chunk)):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_jet_pass_error_in_later_piece_reaches_caller(monkeypatch,
+                                                      perturbed_clifford):
+    im = perturbed_clifford
+    basis = morse.normal_variation_basis(im, 1)
+    first = basis.triples()[0][0]
+    quadratic = energy.batched_quadratic
+
+    def failing(immersion, W, Wd, Wdd, sigma):
+        if not np.array_equal(W[0], first):
+            raise NoConvergence("planted failure")
+        return quadratic(immersion, W, Wd, Wdd, sigma)
+
+    monkeypatch.setattr(energy, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(energy, "batched_quadratic", failing)
+    with pytest.raises(NoConvergence, match="planted failure") as info:
+        morse.hessian_diagonal(im, basis, 0.3)
+    assert type(info.value) is NoConvergence
