@@ -1,9 +1,9 @@
 """Ambient target manifolds: round unit spheres and flat Euclidean space.
 
 The ambient type owns the pointwise operations every other module needs:
-projection of nearby ambient points onto the manifold, tangential projection
-of vectors, and the quadratic correction (second t-derivative) of the radial
-retraction, which feeds the constrained second variation.
+projection of nearby ambient points onto the manifold and tangential
+projection of vectors, plus the frame size and sectional curvature that
+the geometry pipeline reads.
 """
 
 import numpy as np
@@ -73,15 +73,6 @@ class UnitSphere(AmbientManifold):
             raise OffManifold("base points are not on the unit sphere")
         return X - np.sum(z * X, axis=-1, keepdims=True) * z
 
-    def retraction_curvature(self, z, w, wp):
-        """Second derivative of t -> (z + t w)/|z + t w| at t = 0, polarized.
-
-        For tangent w = wp this is -|w|^2 z; the polarized form -(w.wp) z
-        is what the constrained Hessian needs.
-        """
-        z = self._check_points(z)
-        return -np.sum(np.asarray(w) * np.asarray(wp), axis=-1, keepdims=True) * z
-
     frame_size = 3  # tangent frame for normal projections: P_1, P_2, Phi
     curvature_constant = 1.0  # sectional curvature of the unit sphere
 
@@ -106,10 +97,6 @@ class Euclidean(AmbientManifold):
     def tangent_project(self, z, X):
         self._check_points(z)
         return self._check_points(X)
-
-    def retraction_curvature(self, z, w, wp):
-        z = self._check_points(z)
-        return np.zeros_like(z)
 
     frame_size = 2  # tangent frame: P_1, P_2 only
     curvature_constant = 0.0

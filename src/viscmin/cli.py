@@ -11,23 +11,20 @@ import sys
 
 # pin BLAS before numpy first loads so eigensolves are single-threaded
 # and bit-stable (library users importing viscmin directly are
-# unaffected).  The jet passes run on every CPU in the affinity mask;
-# --threads only scales the jet directions in flight (the chunk size).
-# Neither changes the arithmetic, so no output depends on either
+# unaffected).  The jet passes run on every CPU in the affinity mask
+# without changing the arithmetic, so no output depends on the CPU count
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
 import inspect
+from collections import namedtuple
 
 import numpy as np
 
 from . import continuation, energy, gauge, io, morse, surface
 from .errors import (ConfigError, OutOfRange, ParseError, UnknownKey,
                      ViscminError)
-
-_COMMANDS = ("energy", "geometry", "variation-check", "gauge", "spectrum",
-             "continue", "transfer")
 
 _REQUIRED = object()
 
@@ -76,62 +73,7 @@ def _centers(field):
     return cast
 
 
-# per-command parameter table: name -> (caster, default); _REQUIRED means
-# the key must be present, None means optional with no default
-_SCHEMA = {
-    "energy": {
-        "input": (str, _REQUIRED),
-        "output": (str, None),
-        "sigma": (_float_nonneg("sigma"), 0.0),
-        "resolution": (_int_pos("resolution"), 16),
-    },
-    "geometry": {
-        "input": (str, _REQUIRED),
-        "output": (str, None),
-        "resolution": (_int_pos("resolution"), 16),
-    },
-    "variation-check": {
-        "input": (str, _REQUIRED),
-        "output": (str, None),
-        "sigma": (_float_nonneg("sigma"), 0.0),
-        "seeds": (_int_pos("seeds"), 5),
-        "amplitude": (_float_pos("amplitude"), 0.01),
-        "band": (_int_pos("band"), 2),
-        "resolution": (_int_pos("resolution"), 16),
-    },
-    "gauge": {
-        "input": (str, _REQUIRED),
-        "variation": (str, _REQUIRED),
-        "mode": (str, _REQUIRED),
-        "output": (str, None),
-        "resolution": (_int_pos("resolution"), 16),
-    },
-    "spectrum": {
-        "input": (str, _REQUIRED),
-        "output": (str, None),
-        "summary": (str, None),
-        "sigma": (_float_nonneg("sigma"), 0.0),
-        "basis_cutoff": (_int_pos("basis_cutoff"), 4),
-        "eps_neg": (_float_pos("eps_neg"), None),
-        "resolution": (_int_pos("resolution"), 16),
-    },
-    "continue": {
-        "config": (str, _REQUIRED),
-        "output": (str, "continuation_out"),
-        "input": (str, None),
-    },
-    "transfer": {
-        "input": (str, _REQUIRED),
-        "variation": (str, _REQUIRED),
-        "output": (str, None),
-        "delta": (_float_pos("delta"), _REQUIRED),
-        "centers": (_centers("centers"), _REQUIRED),
-        "smoothing": (_float_pos("smoothing"), 2.0),
-        "resolution": (_int_pos("resolution"), 16),
-    },
-}
-
-_GLOBAL_KEYS = {"command", "threads", "seed"}
+_GLOBAL_KEYS = {"command", "seed"}
 
 
 class RunConfig:
@@ -152,14 +94,15 @@ class RunConfig:
 
 
 def validate_config(raw):
-    """Normalize a raw config dict; reject unknown keys and bad values."""
+    """Normalize a raw config dict against the _COMMANDS table; reject
+    unknown keys and bad values."""
     if not isinstance(raw, dict):
         raise ParseError("config", "config must be a JSON object")
     command = raw.get("command")
-    if command not in _SCHEMA:
+    if command not in _COMMANDS:
         raise UnknownKey("command", f"unknown command {command!r}; expected "
                          f"one of {', '.join(_COMMANDS)}")
-    schema = _SCHEMA[command]
+    schema = _COMMANDS[command].params
     params = {}
     for key, value in raw.items():
         if key in _GLOBAL_KEYS:
@@ -181,10 +124,6 @@ def validate_config(raw):
         if default is _REQUIRED:
             raise ParseError(key, f"{command} requires {key}")
         params[key] = default
-    threads = raw.get("threads")
-    if threads is None:
-        threads = os.environ.get("VISCMIN_THREADS", "1")
-    params["threads"] = _int_pos("threads")(threads)
     params["seed"] = int(raw.get("seed", 0))
     if command == "gauge" and params["mode"] not in ("coulomb", "decompose",
                                                      "retract"):
@@ -196,10 +135,6 @@ def validate_config(raw):
 # ---------------------------------------------------------------------------
 # handlers
 # ---------------------------------------------------------------------------
-
-def _chunk(cfg):
-    return 64 * cfg["threads"]
-
 
 def _load_input(cfg, key="input"):
     """Immersion from a checkpoint path, or a preset fixture by name."""
@@ -324,7 +259,6 @@ def _cmd_spectrum(cfg):
     im = _load_input(cfg)
     report = morse.jacobi_spectrum(im, cfg["sigma"],
                                    cutoff=cfg["basis_cutoff"],
-                                   chunk=_chunk(cfg),
                                    eps_neg=cfg["eps_neg"],
                                    warn_critical=False)
     rows = list(enumerate(report.eigenvalues))
@@ -409,58 +343,112 @@ def _cmd_transfer(cfg):
     return 0
 
 
-_HANDLERS = {
-    "energy": _cmd_energy,
-    "geometry": _cmd_geometry,
-    "variation-check": _cmd_variation_check,
-    "gauge": _cmd_gauge,
-    "spectrum": _cmd_spectrum,
-    "continue": _cmd_continue,
-    "transfer": _cmd_transfer,
+# the subcommands in --help order; params maps each key to (caster,
+# default), where _REQUIRED means the key must be present and None means
+# optional with no default
+_Command = namedtuple("_Command", "help handler params")
+
+_COMMANDS = {
+    "energy": _Command(
+        "evaluate Area, F and A^sigma on an immersion", _cmd_energy, {
+            "input": (str, _REQUIRED),
+            "output": (str, None),
+            "sigma": (_float_nonneg("sigma"), 0.0),
+            "resolution": (_int_pos("resolution"), 16),
+        }),
+    "geometry": _Command(
+        "report curvature and area invariants", _cmd_geometry, {
+            "input": (str, _REQUIRED),
+            "output": (str, None),
+            "resolution": (_int_pos("resolution"), 16),
+        }),
+    "variation-check": _Command(
+        "compare variation formulas with finite differences",
+        _cmd_variation_check, {
+            "input": (str, _REQUIRED),
+            "output": (str, None),
+            "sigma": (_float_nonneg("sigma"), 0.0),
+            "seeds": (_int_pos("seeds"), 5),
+            "amplitude": (_float_pos("amplitude"), 0.01),
+            "band": (_int_pos("band"), 2),
+            "resolution": (_int_pos("resolution"), 16),
+        }),
+    "gauge": _Command(
+        "Coulomb-slice operator, decomposition or retraction", _cmd_gauge, {
+            "input": (str, _REQUIRED),
+            "variation": (str, _REQUIRED),
+            "mode": (str, _REQUIRED),
+            "output": (str, None),
+            "resolution": (_int_pos("resolution"), 16),
+        }),
+    "spectrum": _Command(
+        "constrained hessian spectrum with index counts", _cmd_spectrum, {
+            "input": (str, _REQUIRED),
+            "output": (str, None),
+            "summary": (str, None),
+            "sigma": (_float_nonneg("sigma"), 0.0),
+            "basis_cutoff": (_int_pos("basis_cutoff"), 4),
+            "eps_neg": (_float_pos("eps_neg"), None),
+            "resolution": (_int_pos("resolution"), 16),
+        }),
+    "continue": _Command(
+        "vanishing-viscosity continuation run", _cmd_continue, {
+            "config": (str, _REQUIRED),
+            "output": (str, "continuation_out"),
+            "input": (str, None),
+        }),
+    "transfer": _Command(
+        "annular cutoff transfer of a variation", _cmd_transfer, {
+            "input": (str, _REQUIRED),
+            "variation": (str, _REQUIRED),
+            "output": (str, None),
+            "delta": (_float_pos("delta"), _REQUIRED),
+            "centers": (_centers("centers"), _REQUIRED),
+            "smoothing": (_float_pos("smoothing"), 2.0),
+            "resolution": (_int_pos("resolution"), 16),
+        }),
 }
 
 
 def dispatch(cfg):
     """Run a validated config; returns the process exit code."""
-    return _HANDLERS[cfg.command](cfg)
+    return _COMMANDS[cfg.command].handler(cfg)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ParseError on a malformed command line instead of exiting."""
+
+    def error(self, message):
+        raise ParseError("argv", message)
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="viscmin",
         description="Relaxed-area functionals, Coulomb gauge slices and "
                     "Morse index continuation for immersed surfaces.")
     sub = parser.add_subparsers(dest="command")
-    helps = {
-        "energy": "evaluate Area, F and A^sigma on an immersion",
-        "geometry": "report curvature and area invariants",
-        "variation-check": "compare variation formulas with finite "
-                           "differences",
-        "gauge": "Coulomb-slice operator, decomposition or retraction",
-        "spectrum": "constrained hessian spectrum with index counts",
-        "continue": "vanishing-viscosity continuation run",
-        "transfer": "annular cutoff transfer of a variation",
-    }
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=helps[name])
-        for key in _SCHEMA[name]:
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key in command.params:
             p.add_argument("--" + key.replace("_", "-"), dest=key,
                            default=None)
-        p.add_argument("--threads", dest="threads", default=None)
         p.add_argument("--seed", dest="seed", default=None)
     return parser
 
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return 1
-    raw = {k: v for k, v in vars(args).items() if v is not None}
     try:
-        cfg = validate_config(raw)
-        return dispatch(cfg)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            raise UnknownKey(extra[0].lstrip("-").replace("-", "_"),
+                             f"unrecognized arguments: {' '.join(extra)}")
+        if args.command is None:
+            parser.print_help()
+            return 1
+        raw = {k: v for k, v in vars(args).items() if v is not None}
+        return dispatch(validate_config(raw))
     except ConfigError as exc:
         sys.stderr.write(io.dumps_json({
             "error": type(exc).__name__,

@@ -112,8 +112,7 @@ def _full_band(basis):
 
 
 def solve_critical_point(immersion, sigma, newton_tol=NEWTON_TOL,
-                         max_newton=MAX_NEWTON, cutoff=None, trust_radius=0.1,
-                         chunk=64):
+                         max_newton=MAX_NEWTON, cutoff=None, trust_radius=0.1):
     """Drive grad A^sigma to zero over normal-mode coefficients.
 
     Mode-preconditioned Newton over the full representable band (cutoff
@@ -140,7 +139,7 @@ def solve_critical_point(immersion, sigma, newton_tol=NEWTON_TOL,
     iterations = 0
     for it in range(max_newton + 1):
         basis = normal_variation_basis(im, cutoff)
-        diag, gram_diag, g = hessian_diagonal(im, basis, sigma, chunk=chunk)
+        diag, gram_diag, g = hessian_diagonal(im, basis, sigma)
         grad_norm = float(np.max(np.abs(g) / np.sqrt(gram_diag)))
         history.append(grad_norm)
         if initial_grad is None:

@@ -255,6 +255,11 @@ def second_variation_constrained(immersion, w, w_other=None, sigma=0.0,
 # batched forms for hessian assembly
 # ---------------------------------------------------------------------------
 
+# jet directions in flight per pass, split over the workers; bounds the
+# memory of the jet arrays and does not change any result
+_IN_FLIGHT = 64
+
+
 def _cpu_count():
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -262,14 +267,17 @@ def _cpu_count():
     return os.cpu_count() or 1
 
 
-def _run_pieces(immersion, total, chunk, run):
+def _run_pieces(immersion, total, run):
     """Call run(lo, hi) over consecutive pieces covering range(total), on
     every CPU.
 
-    Pieces hold ceil(min(chunk, total) / workers) directions, so about
-    ``chunk`` directions are in flight at once; the calling thread takes
-    pieces alongside workers - 1 pool threads (none on one CPU).  Each
-    piece must write only its own slices.  The immersion's lazy caches are
+    Pieces hold ceil(min(_IN_FLIGHT, total) / workers) directions, so
+    about _IN_FLIGHT directions are in flight at once.  The calling thread
+    takes pieces alongside workers - 1 pool threads; leaving it idle
+    behind a pool of workers threads costs one more malloc arena of freed
+    jet temporaries (on 2 CPUs, 4-8 MB more peak RSS for a Clifford torus
+    spectrum and 19 MB for the equator's).  Each piece must write only
+    its own slices.  The immersion's lazy caches are
     filled here, on the calling thread, before any piece runs.  If pieces
     fail, the exception of the first of them is re-raised unchanged.
     """
@@ -278,7 +286,7 @@ def _run_pieces(immersion, total, chunk, run):
     immersion.derivatives()
     _ = immersion.geometry
     workers = _cpu_count()
-    step = -(-min(chunk, total) // workers)
+    step = -(-min(_IN_FLIGHT, total) // workers)
     starts = iter(range(0, total, step))
     lock = threading.Lock()
     errors = {}
@@ -296,15 +304,11 @@ def _run_pieces(immersion, total, chunk, run):
                     errors[lo] = exc
                 return
 
-    helpers = min(workers, -(-total // step)) - 1
-    if helpers > 0:
-        with ThreadPoolExecutor(helpers) as pool:
-            futures = [pool.submit(drain) for _ in range(helpers)]
-            drain()
-        for future in futures:
-            future.result()
-    else:
+    with ThreadPoolExecutor(workers) as pool:
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
         drain()
+    for future in helpers:
+        future.result()
     if errors:
         raise errors[min(errors)]
 
@@ -354,15 +358,14 @@ def _coordinate_triple(E):
     return W, Wd, Wdd
 
 
-def _node_kernels(immersion, chunk):
+def _node_kernels(immersion):
     """Node hessians and gradients of the area and F densities.
 
     Returns (K_area, K_f, g_area, g_f) with K of shape (N, 6Q, 6Q) and g of
     shape (N, 6Q), in the coordinates of node_coordinates.  One jet pass
-    over the 6Q(6Q+1)/2 coordinate directions, run by _run_pieces with
-    about ``chunk`` of them in flight: diagonals from e_i, off-diagonals
-    from e_i + e_j by polarization.  The cost does not depend on any
-    variation basis.
+    over the 6Q(6Q+1)/2 coordinate directions, run in pieces by
+    _run_pieces: diagonals from e_i, off-diagonals from e_i + e_j by
+    polarization.  The cost does not depend on any variation basis.
     """
     n = 6 * immersion.ambient.dim
     ii, jj = np.triu_indices(n)
@@ -383,7 +386,7 @@ def _node_kernels(immersion, chunk):
             c[k, lo:hi] = d.c
             b[k, ii[lo:hi][on_diag]] = d.b[on_diag]
 
-    _run_pieces(immersion, len(ii), chunk, run)
+    _run_pieces(immersion, len(ii), run)
     kernels = []
     for ck in c:
         kd = ck[diag]
@@ -429,16 +432,15 @@ def _retraction_kernel(P, Pd, Pdd, g):
         c_s.shape + (6 * Q, 6 * Q))
 
 
-def hessian_kernel(immersion, sigma, chunk=64):
+def hessian_kernel(immersion, sigma):
     """Node kernels K_n (N, 6Q, 6Q) of the constrained A^sigma hessian.
 
     K_n = K_area,n + sigma^2 K_F,n, plus the retraction-curvature form in
     the sphere ambient, so that sum_n y_a(n)^T K_n y_b(n) is the polarized
     second_variation_constrained of w_a and w_b.  The jet pass runs on
-    every CPU with about ``chunk`` directions in flight; the result is
-    bit-identical for any CPU count and chunk.
+    every CPU; the result is bit-identical for any CPU count.
     """
-    K_area, K_f, g_area, g_f = _node_kernels(immersion, chunk)
+    K_area, K_f, g_area, g_f = _node_kernels(immersion)
     K = K_area + sigma ** 2 * K_f
     if immersion.ambient.kind == "sphere":
         K += _retraction_kernel(*immersion.derivatives(),

@@ -8,7 +8,7 @@ __all__ = [
     "ViscminError", "ZeroPoint", "OffManifold", "NotTangent",
     "ShapeMismatch", "DegenerateMetric", "UnknownPreset", "ResolutionTooLow",
     "NonConformalChart", "NotInRange", "NotInSlice", "NoConvergence",
-    "GramNotSPD", "MissingGenerator", "BadDelta", "EmptyTail",
+    "GramNotSPD", "BadDelta", "EmptyTail",
     "ConfigError", "UnknownKey", "ParseError", "OutOfRange",
     "NonCriticalWarning",
 ]
@@ -64,10 +64,6 @@ class NoConvergence(ViscminError):
 
 class GramNotSPD(ViscminError):
     """A Gram matrix that must be positive definite is not."""
-
-
-class MissingGenerator(ViscminError):
-    """Operation needs an analytic generator the variation does not carry."""
 
 
 class BadDelta(ViscminError):

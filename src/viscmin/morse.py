@@ -125,7 +125,7 @@ def reparametrization_basis(immersion, cutoff):
     return VariationBasis(immersion, fields, labels)
 
 
-def assemble_hessian(immersion, basis, sigma, chunk=64, warn_critical=True):
+def assemble_hessian(immersion, basis, sigma, warn_critical=True):
     """Constrained hessian of A^sigma on a variation basis.
 
     Returns (H, G, grad_norm): the hessian matrix, the L2 Gram matrix, and
@@ -135,10 +135,9 @@ def assemble_hessian(immersion, basis, sigma, chunk=64, warn_critical=True):
     H is contracted from the per-node second-derivative kernels of
     energy.hessian_kernel, built once per call; the gradient and the
     diagonal come from hessian_diagonal.  Both jet passes run on every
-    CPU with about ``chunk`` directions in flight, and the results are
-    bit-identical for any CPU count and chunk.
+    CPU, and the results are bit-identical for any CPU count.
     """
-    diag, _, grad = hessian_diagonal(immersion, basis, sigma, chunk=chunk)
+    diag, _, grad = hessian_diagonal(immersion, basis, sigma)
     G = basis.gram()
     norms = np.sqrt(np.maximum(np.diag(G), 1e-300))
     grad_norm = float(np.max(np.abs(grad) / norms))
@@ -147,7 +146,7 @@ def assemble_hessian(immersion, basis, sigma, chunk=64, warn_critical=True):
             f"hessian assembled at a non-critical point "
             f"(gradient norm {grad_norm:.2e})", NonCriticalWarning)
 
-    K = energy.hessian_kernel(immersion, sigma, chunk=chunk)
+    K = energy.hessian_kernel(immersion, sigma)
     Y = energy.node_coordinates(*basis.triples())
     H = np.einsum("anp,npq,bnq->ab", Y, K, Y, optimize=True)
     H = 0.5 * (H + H.T)
@@ -155,14 +154,14 @@ def assemble_hessian(immersion, basis, sigma, chunk=64, warn_critical=True):
     return H, G, grad_norm
 
 
-def hessian_diagonal(immersion, basis, sigma, chunk=64):
+def hessian_diagonal(immersion, basis, sigma):
     """Diagonal of the constrained hessian plus gradient, no off-diagonal.
 
     Returns (diag, gram_diag, grad). The basis fields go through the jet
-    pass in pieces on every CPU, about ``chunk`` of them in flight, so
+    pass in pieces on every CPU, a bounded number of them in flight, so
     this scales to full-band bases where the dense assembly would not;
     used by the mode-preconditioned critical point solver.  The results
-    are bit-identical for any CPU count and chunk.
+    are bit-identical for any CPU count.
     """
     W, Wd, Wdd = basis.triples()
     M = len(basis)
@@ -183,7 +182,7 @@ def hessian_diagonal(immersion, basis, sigma, chunk=64):
             q = q + energy.batched_linear(immersion, V, Vd, Vdd, sigma)
         diag[lo:hi] = q
 
-    energy._run_pieces(immersion, M, chunk, run)
+    energy._run_pieces(immersion, M, run)
     return diag, gram_diag, grad
 
 
@@ -243,12 +242,12 @@ def spectrum_index(H, G, sigma=0.0, eps_neg=None, grad_norm=0.0):
 
 
 def jacobi_spectrum(immersion, sigma=0.0, cutoff=4, include_tangential=False,
-                    chunk=64, eps_neg=None, warn_critical=True):
+                    eps_neg=None, warn_critical=True):
     """Spectrum of the constrained A^sigma hessian on the normal-mode basis."""
     basis = normal_variation_basis(immersion, cutoff)
     if include_tangential:
         basis = basis.extend(reparametrization_basis(immersion, cutoff))
-    H, G, grad_norm = assemble_hessian(immersion, basis, sigma, chunk=chunk,
+    H, G, grad_norm = assemble_hessian(immersion, basis, sigma,
                                        warn_critical=warn_critical)
     return spectrum_index(H, G, sigma=sigma, eps_neg=eps_neg,
                           grad_norm=grad_norm)

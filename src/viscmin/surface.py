@@ -238,8 +238,6 @@ class GeometryData:
         self.trace_II = (_ex(i11) * II[0][0] + 2.0 * _ex(i12) * II[0][1]
                          + _ex(i22) * II[1][1])
         self.mean_curvature = 0.5 * self.trace_II
-        # trace-free part of II
-        self.h0 = self.II - 0.5 * self.g[..., None] * self.trace_II[:, None, None, :]
         # Gauss equation: ambient sectional curvature + II combination
         self.gauss_curvature = im.ambient.curvature_constant + (
             np.sum(II[0][0] * II[1][1], axis=-1)

@@ -86,6 +86,23 @@ def test_second_variation_matches_fd(perturbed_clifford):
         assert_allclose(sv["d2_f"], fd_f, rtol=1e-5, atol=1e-8)
 
 
+@pytest.mark.parametrize("name", ["perturbed_clifford", "perturbed_equator",
+                                  "round_sphere", "perturbed_clifford_in_r4"])
+def test_area_terms_match_jet_second_variation(request, name):
+    # the explicit three-term area hessian shares no code with the jet
+    # route, so the two are each other's oracle
+    if name == "perturbed_clifford_in_r4":
+        im = surface.make_preset(name, resolution=16)
+    else:
+        im = request.getfixturevalue(name)
+    for seed in range(3):
+        w = surface.random_variation(im, seed=seed, band=2)
+        jet = energy.second_variation_ambient(im, w)["d2_area"]
+        explicit = energy.second_variation_area_terms(im, w)
+        assert abs(jet) > 1e-3
+        assert_allclose(explicit, jet, rtol=1e-12, atol=0)
+
+
 def test_second_variation_polarization_symmetric(clifford):
     wa = surface.random_variation(clifford, seed=0, amplitude=0.01, band=2,
                                   tangent=True)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from viscmin import cli, io, surface
+from viscmin import cli, energy, io, surface
 from viscmin.errors import OutOfRange, ParseError, UnknownKey
 
 
@@ -97,15 +97,6 @@ def test_validate_config_examples():
                              "variation": "b"})
 
 
-def test_validate_config_threads_env(monkeypatch):
-    monkeypatch.setenv("VISCMIN_THREADS", "3")
-    cfg = cli.validate_config({"command": "energy", "input": "x.json"})
-    assert cfg["threads"] == 3
-    cfg = cli.validate_config({"command": "energy", "input": "x.json",
-                               "threads": 2})
-    assert cfg["threads"] == 2
-
-
 def test_cli_energy_on_preset(tmp_path):
     out = str(tmp_path / "report.json")
     code = cli.main(["energy", "--input", "equator_s2_in_s3",
@@ -148,14 +139,35 @@ def test_cli_spectrum_summary(tmp_path, capsys):
     assert len(lines) > 5
 
 
-def test_cli_spectrum_thread_count_invariant(tmp_path):
+def test_cli_spectrum_thread_count_invariant(tmp_path, monkeypatch):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    monkeypatch.setattr(energy, "_cpu_count", lambda: 1)
     assert cli.main(["spectrum", "--input", "equator_s2_in_s3",
                      "--basis-cutoff", "2", "--output", a]) == 0
+    monkeypatch.setattr(energy, "_cpu_count", lambda: 3)
     assert cli.main(["spectrum", "--input", "equator_s2_in_s3",
-                     "--basis-cutoff", "2", "--output", b,
-                     "--threads", "4"]) == 0
+                     "--basis-cutoff", "2", "--output", b]) == 0
     assert open(a).read() == open(b).read()
+
+
+@pytest.mark.parametrize("flag, value", [("--threads", "2"),
+                                         ("--bogus", "1")])
+def test_cli_unknown_flag_is_json_error(capsys, flag, value):
+    # an unknown flag is a validation failure like an unknown config key:
+    # exit 2 with one JSON object on stderr, not argparse's usage text
+    code = cli.main(["energy", "--input", "clifford_torus", flag, value])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "UnknownKey"
+    assert err["field"] == flag[2:]
+
+
+def test_cli_malformed_argv_is_json_error(capsys):
+    code = cli.main(["energy", "--input"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert "--input" in err["message"]
 
 
 def test_cli_gauge_modes(tmp_path, clifford):

@@ -285,13 +285,39 @@ def test_kernel_hessian_matches_polarized_oracle(request, fixture, cutoff,
     assert (rep.index, rep.nullity) == (rep_ref.index, rep_ref.nullity)
 
 
-def test_kernel_hessian_independent_of_chunk(perturbed_clifford):
+def test_kernel_hessian_independent_of_chunk(monkeypatch, perturbed_clifford):
     basis = morse.normal_variation_basis(perturbed_clifford, 1)
+    monkeypatch.setattr(energy, "_IN_FLIGHT", 7)
     H7, _, _ = morse.assemble_hessian(perturbed_clifford, basis, 0.17,
-                                      chunk=7, warn_critical=False)
+                                      warn_critical=False)
+    monkeypatch.setattr(energy, "_IN_FLIGHT", 64)
     H64, _, _ = morse.assemble_hessian(perturbed_clifford, basis, 0.17,
-                                       chunk=64, warn_critical=False)
+                                       warn_critical=False)
     assert np.array_equal(H7, H64)
+
+
+@pytest.mark.parametrize("sigma, index, gap", [(0.0, 5, 2.0),
+                                               (0.17, 4, 0.2082)])
+def test_tangential_fields_sit_in_the_radical(clifford, sigma, index, gap):
+    # reparametrizations move along the critical orbit: adding them to the
+    # basis adds exactly their count to the nullity and moves nothing else
+    normal = morse.jacobi_spectrum(clifford, sigma, cutoff=2,
+                                   warn_critical=False)
+    full = morse.jacobi_spectrum(clifford, sigma, cutoff=2,
+                                 include_tangential=True, warn_critical=False)
+    extra = len(morse.reparametrization_basis(clifford, 2))
+    assert extra == 50
+    assert (normal.index, normal.nullity) == (index, 4)
+    assert (full.index, full.nullity) == (index, 4 + extra)
+
+    def live(rep):
+        return np.sort(rep.eigenvalues[np.abs(rep.eigenvalues) > rep.eps_neg])
+
+    assert_allclose(live(full), live(normal), rtol=0, atol=1e-10)
+    # the null band is separated from the next eigenvalue by its closed form
+    above = np.sort(np.abs(full.eigenvalues))[full.nullity]
+    assert_allclose(above, gap, rtol=1e-9)
+    assert above > 1000 * full.eps_neg
 
 
 @pytest.mark.parametrize("fixture", ["clifford", "equator"])
@@ -316,21 +342,22 @@ def test_jet_passes_independent_of_cpu_count(request, monkeypatch, fixture):
     im = request.getfixturevalue(fixture)
     basis = morse.normal_variation_basis(im, 1)
 
-    def passes(cpus, chunk):
+    def passes(cpus, in_flight):
         monkeypatch.setattr(energy, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(energy, "_IN_FLIGHT", in_flight)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             H, G, grad_norm = morse.assemble_hessian(
-                im, basis, 0.3, chunk=chunk, warn_critical=False)
-            diag = morse.hessian_diagonal(im, basis, 0.3, chunk=chunk)
+                im, basis, 0.3, warn_critical=False)
+            diag = morse.hessian_diagonal(im, basis, 0.3)
         finally:
             sys.setswitchinterval(interval)
         return (H, G, np.array(grad_norm)) + diag
 
     ref = passes(1, 64)
-    for cpus, chunk in [(1, 7), (3, 7), (3, 64)]:
-        for a, b in zip(ref, passes(cpus, chunk)):
+    for cpus, in_flight in [(1, 7), (3, 7), (3, 64)]:
+        for a, b in zip(ref, passes(cpus, in_flight)):
             assert a.tobytes() == b.tobytes()
 
 
