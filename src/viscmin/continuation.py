@@ -16,7 +16,10 @@ import numpy as np
 
 from .energy import evaluate_energies, second_variation_constrained
 from .errors import BadDelta, EmptyTail, OutOfRange, ShapeMismatch
-from .morse import hessian_diagonal, jacobi_spectrum, normal_variation_basis
+from .morse import (basis_gradient, hessian_diagonal, normal_variation_basis,
+                    pencil_spectrum, sigma_pencil)
+# not called here; bench/spans.py looks jacobi_spectrum up in this module
+from .morse import jacobi_spectrum  # noqa: F401
 from .surface import SampledImmersion, Variation
 
 NEWTON_TOL = 1e-8
@@ -124,7 +127,10 @@ def solve_critical_point(immersion, sigma, newton_tol=NEWTON_TOL,
     band are frozen (they move along the orbit), steps are capped at
     trust_radius in the L2(dvol) norm, and each update is re-projected
     onto the ambient.  Saddles are legitimate targets, so nothing descends:
-    progress is measured on the gradient norm alone.
+    progress is measured on the gradient norm alone.  Each iteration runs
+    the gradient pass (basis_gradient) first and decides every exit on it;
+    the diagonal pass (hessian_diagonal) runs only when a step is taken,
+    so a start that is already critical costs no diagonal pass at all.
 
     Returns a dict with the final immersion, grad_norm, iterations,
     converged flag and the gradient history.  On stall the best iterate
@@ -139,7 +145,7 @@ def solve_critical_point(immersion, sigma, newton_tol=NEWTON_TOL,
     iterations = 0
     for it in range(max_newton + 1):
         basis = normal_variation_basis(im, cutoff)
-        diag, gram_diag, g = hessian_diagonal(im, basis, sigma)
+        gram_diag, g = basis_gradient(im, basis, sigma)
         grad_norm = float(np.max(np.abs(g) / np.sqrt(gram_diag)))
         history.append(grad_norm)
         if initial_grad is None:
@@ -152,6 +158,7 @@ def solve_critical_point(immersion, sigma, newton_tol=NEWTON_TOL,
         if it >= 4 and history[-1] > 0.5 * history[-4]:
             iterations = it
             break
+        diag = hessian_diagonal(im, basis, sigma)
         rayleigh = diag / gram_diag
         floor = 1e-6 * max(1.0, float(np.max(np.abs(rayleigh))))
         live = np.abs(rayleigh) > floor
@@ -184,18 +191,26 @@ def run_continuation(config, immersion):
     of the schedule), and the entropy/energy monitors.  Stage-level
     convergence failures are recorded on the StageRecord, the run
     continues.
+
+    The spectra come from one sigma_pencil per distinct stage immersion
+    (a stage whose solve does not move keeps the previous one), built at
+    spectrum_cutoff and held only in this call: each stage spectrum and
+    the sigma=0 limit of the final immersion are read from it.
     """
     stages = []
     im = immersion
+    pencil_im = pencil = None
     for sigma in config.sigma_schedule:
         result = solve_critical_point(
             im, sigma, newton_tol=config.newton_tol,
             max_newton=config.max_newton, cutoff=config.newton_cutoff)
         im = result["immersion"]
+        if im is not pencil_im:
+            pencil_im = im
+            pencil = sigma_pencil(im, normal_variation_basis(
+                im, config.spectrum_cutoff))
         energies = evaluate_energies(im, sigma)
-        spectrum = jacobi_spectrum(im, sigma, cutoff=config.spectrum_cutoff,
-                                   eps_neg=config.eps_neg,
-                                   warn_critical=False)
+        spectrum = pencil_spectrum(pencil, sigma, config.eps_neg)
         stages.append(StageRecord(
             sigma, im, result["grad_norm"], energies, spectrum,
             result["converged"], result["iterations"],
@@ -203,9 +218,7 @@ def run_continuation(config, immersion):
     if not stages:
         return {"stages": [], "limit_spectrum": None, "verdict": None,
                 "entropy_nonincreasing": True, "limsup_a_sigma": None}
-    limit_spectrum = jacobi_spectrum(im, 0.0, cutoff=config.spectrum_cutoff,
-                                     eps_neg=config.eps_neg,
-                                     warn_critical=False)
+    limit_spectrum = pencil_spectrum(pencil, 0.0, config.eps_neg)
     tail_start = len(stages) // 2
     verdict = semicontinuity_verdict(limit_spectrum, stages, tail_start)
     tail_entropy = [s.entropy_product for s in stages[tail_start:]]

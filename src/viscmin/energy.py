@@ -31,7 +31,7 @@ __all__ = [
     "second_variation_area_terms", "free_path_energies",
     "projected_path_energies", "fd_first", "fd_second",
     "batched_quadratic", "batched_linear", "node_coordinates",
-    "hessian_kernel", "AmbientField",
+    "AmbientField",
     "polynomial_field", "composed_variation_bounds",
 ]
 
@@ -430,22 +430,6 @@ def _retraction_kernel(P, Pd, Pdd, g):
         r[..., p, q] += coeff
     return np.einsum("...pr,qs->...pqrs", r, np.eye(Q)).reshape(
         c_s.shape + (6 * Q, 6 * Q))
-
-
-def hessian_kernel(immersion, sigma):
-    """Node kernels K_n (N, 6Q, 6Q) of the constrained A^sigma hessian.
-
-    K_n = K_area,n + sigma^2 K_F,n, plus the retraction-curvature form in
-    the sphere ambient, so that sum_n y_a(n)^T K_n y_b(n) is the polarized
-    second_variation_constrained of w_a and w_b.  The jet pass runs on
-    every CPU; the result is bit-identical for any CPU count.
-    """
-    K_area, K_f, g_area, g_f = _node_kernels(immersion)
-    K = K_area + sigma ** 2 * K_f
-    if immersion.ambient.kind == "sphere":
-        K += _retraction_kernel(*immersion.derivatives(),
-                                g_area + sigma ** 2 * g_f)
-    return K
 
 
 # ---------------------------------------------------------------------------

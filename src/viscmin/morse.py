@@ -3,12 +3,14 @@
 The index of a critical point is counted on a finite-dimensional family of
 band-limited variations: scalar spectral modes times orthonormal normal
 frame fields (plus, optionally, tangential reparametrization fields, which
-sit in the radical of the hessian at critical points). The constrained
-hessian of the relaxed energy is contracted from per-node second-derivative
-kernels of the energy density (exact jet propagation, with the
-retraction-curvature first-variation term folded in), and the index/nullity
-come from the generalized symmetric eigenproblem against the L2 Gram
-matrix.
+sit in the radical of the hessian at critical points). At a fixed
+immersion the constrained hessian of the relaxed energy is the pencil
+H_area + sigma^2 H_F; both parts are contracted from one pass of per-node
+second-derivative kernels of the energy densities (exact jet propagation,
+with the retraction-curvature first-variation term folded in), so one
+pencil serves every sigma.  The index/nullity come from the generalized
+symmetric eigenproblem against the L2 Gram matrix.  The per-field
+gradient and diagonal passes serve only the critical point solver.
 """
 
 import warnings
@@ -24,8 +26,9 @@ from . import energy
 
 __all__ = [
     "VariationBasis", "SpectrumReport", "scalar_modes",
-    "normal_variation_basis", "reparametrization_basis", "assemble_hessian",
-    "spectrum_index", "jacobi_spectrum", "CRITICAL_GRAD_TOL",
+    "normal_variation_basis", "reparametrization_basis", "sigma_pencil",
+    "assemble_hessian", "spectrum_index", "pencil_spectrum", "jacobi_spectrum",
+    "CRITICAL_GRAD_TOL",
 ]
 
 CRITICAL_GRAD_TOL = 1e-6
@@ -125,56 +128,96 @@ def reparametrization_basis(immersion, cutoff):
     return VariationBasis(immersion, fields, labels)
 
 
+def sigma_pencil(immersion, basis):
+    """The sigma-split of the constrained hessian on a variation basis.
+
+    Returns (H_area, H_F, G, grad_area, grad_F): at this immersion the
+    constrained A^sigma hessian is exactly H_area + sigma^2 H_F and the
+    gradient grad_area + sigma^2 grad_F, for every sigma; G is the L2 Gram
+    matrix.  One energy._node_kernels pass serves all of it.  The
+    retraction form is linear in the node gradient, so in the sphere
+    ambient each part's kernel gains its own retraction term, and the
+    gradient is read off the node gradient, grad_a = sum_n g_n . y_a(n).
+    The jet pass runs on every CPU, and its kernels are bit-identical for
+    any CPU count.
+    """
+    K_area, K_f, g_area, g_f = energy._node_kernels(immersion)
+    if immersion.ambient.kind == "sphere":
+        P = immersion.derivatives()
+        K_area += energy._retraction_kernel(*P, g_area)
+        K_f += energy._retraction_kernel(*P, g_f)
+    Y = energy.node_coordinates(*basis.triples())
+    H_area, H_f = (np.einsum("anp,npq,bnq->ab", Y, K, Y, optimize=True)
+                   for K in (K_area, K_f))
+    grad_area, grad_f = (np.einsum("anp,np->a", Y, g)
+                         for g in (g_area, g_f))
+    return (0.5 * (H_area + H_area.T), 0.5 * (H_f + H_f.T), basis.gram(),
+            grad_area, grad_f)
+
+
+def _pencil_hessian(pencil, sigma):
+    """(H, G, grad_norm) of a sigma_pencil at one sigma; grad_norm is the
+    sup of |DA^sigma(w_a)| over Gram-normalized basis fields."""
+    H_area, H_f, G, grad_area, grad_f = pencil
+    grad = grad_area + sigma ** 2 * grad_f
+    norms = np.sqrt(np.maximum(np.diag(G), 1e-300))
+    return (H_area + sigma ** 2 * H_f, G,
+            float(np.max(np.abs(grad) / norms)))
+
+
 def assemble_hessian(immersion, basis, sigma, warn_critical=True):
     """Constrained hessian of A^sigma on a variation basis.
 
-    Returns (H, G, grad_norm): the hessian matrix, the L2 Gram matrix, and
-    the sup of |DA^sigma(w_a)| over Gram-normalized basis fields. Warns
-    NonCriticalWarning when the gradient norm is not small.
-
-    H is contracted from the per-node second-derivative kernels of
-    energy.hessian_kernel, built once per call; the gradient and the
-    diagonal come from hessian_diagonal.  Both jet passes run on every
-    CPU, and the results are bit-identical for any CPU count.
+    Returns (H, G, grad_norm): the hessian matrix H_area + sigma^2 H_F of
+    sigma_pencil, the L2 Gram matrix, and the sup of |DA^sigma(w_a)| over
+    Gram-normalized basis fields.  Warns NonCriticalWarning when the
+    gradient norm is not small.  Callers that need several sigma at one
+    immersion keep the pencil instead (pencil_spectrum).
     """
-    diag, _, grad = hessian_diagonal(immersion, basis, sigma)
-    G = basis.gram()
-    norms = np.sqrt(np.maximum(np.diag(G), 1e-300))
-    grad_norm = float(np.max(np.abs(grad) / norms))
+    H, G, grad_norm = _pencil_hessian(sigma_pencil(immersion, basis), sigma)
     if warn_critical and grad_norm > CRITICAL_GRAD_TOL:
         warnings.warn(
             f"hessian assembled at a non-critical point "
             f"(gradient norm {grad_norm:.2e})", NonCriticalWarning)
-
-    K = energy.hessian_kernel(immersion, sigma)
-    Y = energy.node_coordinates(*basis.triples())
-    H = np.einsum("anp,npq,bnq->ab", Y, K, Y, optimize=True)
-    H = 0.5 * (H + H.T)
-    H[np.diag_indices(len(basis))] = diag
     return H, G, grad_norm
 
 
-def hessian_diagonal(immersion, basis, sigma):
-    """Diagonal of the constrained hessian plus gradient, no off-diagonal.
+def basis_gradient(immersion, basis, sigma):
+    """Gram diagonal and gradient of A^sigma on a variation basis.
 
-    Returns (diag, gram_diag, grad). The basis fields go through the jet
-    pass in pieces on every CPU, a bounded number of them in flight, so
-    this scales to full-band bases where the dense assembly would not;
-    used by the mode-preconditioned critical point solver.  The results
-    are bit-identical for any CPU count.
+    Returns (gram_diag, grad).  The basis fields go through the explicit
+    first-variation formulas in pieces on every CPU, so this scales to
+    full-band bases where the dense assembly would not; the critical
+    point solver's gradient.  The results are bit-identical for any CPU
+    count.
     """
     W, Wd, Wdd = basis.triples()
-    M = len(basis)
+    gram_diag = np.einsum("anq,anq,n->a", W, W, immersion.geometry.dvol)
+    grad = np.empty(len(basis))
+
+    def run(lo, hi):
+        grad[lo:hi] = energy.batched_linear(
+            immersion, W[lo:hi], Wd[lo:hi], Wdd[lo:hi], sigma)
+
+    energy._run_pieces(immersion, len(basis), run)
+    return gram_diag, grad
+
+
+def hessian_diagonal(immersion, basis, sigma):
+    """Diagonal of the constrained hessian, no off-diagonal.
+
+    One jet pass per basis field, in pieces on every CPU with a bounded
+    number in flight, so this scales to full-band bases where the dense
+    assembly would not; the critical point solver's Newton denominators.
+    The results are bit-identical for any CPU count.
+    """
+    W, Wd, Wdd = basis.triples()
     sphere = immersion.ambient.kind == "sphere"
     P, Pd, Pdd = immersion.derivatives()
-    dvol = immersion.geometry.dvol
-    gram_diag = np.einsum("anq,anq,n->a", W, W, dvol)
-    grad = np.empty(M)
-    diag = np.empty(M)
+    diag = np.empty(len(basis))
 
     def run(lo, hi):
         field = (W[lo:hi], Wd[lo:hi], Wdd[lo:hi])
-        grad[lo:hi] = energy.batched_linear(immersion, *field, sigma)
         q, _ = energy.batched_quadratic(immersion, *field, sigma)
         if sphere:
             V, Vd, Vdd = energy._retraction_curvature_triple(
@@ -182,8 +225,8 @@ def hessian_diagonal(immersion, basis, sigma):
             q = q + energy.batched_linear(immersion, V, Vd, Vdd, sigma)
         diag[lo:hi] = q
 
-    energy._run_pieces(immersion, M, run)
-    return diag, gram_diag, grad
+    energy._run_pieces(immersion, len(basis), run)
+    return diag
 
 
 class SpectrumReport:
@@ -239,6 +282,13 @@ def spectrum_index(H, G, sigma=0.0, eps_neg=None, grad_norm=0.0):
     if eps_neg is None:
         eps_neg = 1e-6 * max(1.0, float(np.max(np.abs(vals))))
     return SpectrumReport(vals, eps_neg, sigma, H.shape[0], grad_norm)
+
+
+def pencil_spectrum(pencil, sigma, eps_neg=None):
+    """spectrum_index of a sigma_pencil at one sigma, with its grad_norm."""
+    H, G, grad_norm = _pencil_hessian(pencil, sigma)
+    return spectrum_index(H, G, sigma=sigma, eps_neg=eps_neg,
+                          grad_norm=grad_norm)
 
 
 def jacobi_spectrum(immersion, sigma=0.0, cutoff=4, include_tangential=False,

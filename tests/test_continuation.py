@@ -199,3 +199,58 @@ def test_hessian_convergence_probe(clifford):
     assert_allclose(vals[0], vals[1], rtol=1e-12)
     direct = energy.second_variation_constrained(clifford, w, sigma=0.0)
     assert_allclose(vals[0], direct, rtol=1e-12)
+
+
+def _counted(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call's first
+    argument; returns the record."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_continuation_builds_one_kernel_pass(monkeypatch, clifford):
+    # every stage solve stays at the symmetric torus, so one sigma pencil
+    # serves the four stage spectra and the sigma = 0 limit
+    builds = _counted(monkeypatch, energy, "_node_kernels")
+    cfg = continuation.ContinuationConfig(
+        sigma_schedule=[0.5, 0.25, 0.125, 0.0625], spectrum_cutoff=2)
+    out = continuation.run_continuation(cfg, clifford)
+    assert [s.immersion for s in out["stages"]] == [clifford] * 4
+    assert builds == [clifford]
+    assert [s.spectrum.index for s in out["stages"]] == [0, 0, 5, 5]
+    assert out["limit_spectrum"].index == 5
+
+
+def test_continuation_kernel_pass_per_stage_immersion(monkeypatch):
+    # Newton moves the perturbed equator at every stage here: one kernel
+    # pass per stage immersion, and one diagonal pass per Newton step
+    builds = _counted(monkeypatch, energy, "_node_kernels")
+    diagonals = _counted(monkeypatch, continuation, "hessian_diagonal")
+    im = surface.make_preset("perturbed_equator", resolution=8)
+    cfg = continuation.ContinuationConfig(sigma_schedule=[0.5, 0.25, 0.125],
+                                          spectrum_cutoff=2)
+    stages = continuation.run_continuation(cfg, im)["stages"]
+    moved = [s.immersion for i, s in enumerate(stages)
+             if i == 0 or s.immersion is not stages[i - 1].immersion]
+    assert len(moved) == 3
+    assert len(builds) == 3 and all(a is b for a, b in zip(builds, moved))
+    assert len(diagonals) == sum(s.iterations for s in stages) > 0
+
+
+def test_newton_diagonal_pass_once_per_step(monkeypatch, clifford):
+    # the gradient decides every exit, so the diagonal pass runs only for
+    # the steps taken: none at a critical point, one per step otherwise
+    diagonals = _counted(monkeypatch, continuation, "hessian_diagonal")
+    out = continuation.solve_critical_point(clifford, 0.1)
+    assert out["iterations"] == 0 and diagonals == []
+    im = surface.make_preset("perturbed_equator", resolution=8)
+    out = continuation.solve_critical_point(im, 0.5, cutoff=4)
+    assert out["iterations"] > 0
+    assert len(diagonals) == out["iterations"]

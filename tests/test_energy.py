@@ -56,7 +56,7 @@ def test_first_variation_matches_fd(perturbed_clifford, perturbed_equator):
 @pytest.mark.parametrize("name", ["perturbed_clifford", "perturbed_equator",
                                   "round_sphere"])
 def test_batched_linear_matches_first_variation(request, name):
-    # the batched gradient of the hessian diagonal is DA^sigma of each field,
+    # the batched gradient of the Newton passes is DA^sigma of each field,
     # bit for bit, not just to roundoff
     im = request.getfixturevalue(name)
     sigma = 0.3

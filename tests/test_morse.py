@@ -2,6 +2,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from viscmin import energy, morse, surface
@@ -57,8 +58,12 @@ def test_hessian_diagonal_consistent(clifford):
     basis = morse.normal_variation_basis(clifford, 3)
     H, G, grad_norm = morse.assemble_hessian(clifford, basis, 0.1,
                                              warn_critical=False)
-    diag, gram_diag, grad = morse.hessian_diagonal(clifford, basis, 0.1)
-    assert_allclose(diag, np.diag(H), rtol=0, atol=0)
+    diag = morse.hessian_diagonal(clifford, basis, 0.1)
+    gram_diag, grad = morse.basis_gradient(clifford, basis, 0.1)
+    # two routes to the diagonal: one jet pass per field, and the kernel
+    # contraction (retraction form folded in) that H comes from
+    ref = np.diag(H)
+    assert np.max(np.abs(diag - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert_allclose(gram_diag, np.diag(G), rtol=0, atol=0)
     assert len(grad) == len(basis)
     # clifford is A^sigma-critical for every sigma: F is stationary there
@@ -223,6 +228,38 @@ def test_sigma_oracle_clifford_explicit_immersion():
         assert_allclose(coeffs, [a, b], rtol=0, atol=ORACLE_COEFF_TOL)
 
 
+def test_sigma_pencil_matches_sigma_oracle(clifford):
+    # the area part alone carries the a values; one pencil gives the
+    # spectrum at any sigma
+    basis = morse.normal_variation_basis(clifford, 2)
+    H_area, H_f, G, grad_area, grad_f = morse.sigma_pencil(clifford, basis)
+    area = np.sort(scipy.linalg.eigh(H_area, G, eigvals_only=True))
+    predicted = [a for a, _, mult in CLIFFORD_SIGMA_MODES for _ in range(mult)]
+    assert_allclose(area[:len(predicted)], predicted, rtol=0, atol=1e-10)
+    assert area[len(predicted)] > 1.0
+    sigma = 0.17
+    rep = morse.spectrum_index(H_area + sigma ** 2 * H_f, G, sigma)
+    ref = morse.jacobi_spectrum(clifford, sigma, cutoff=2,
+                                warn_critical=False)
+    scale = np.max(np.abs(ref.eigenvalues))
+    assert np.max(np.abs(rep.eigenvalues - ref.eigenvalues)) <= 1e-12 * scale
+    assert (rep.index, rep.nullity) == (ref.index, ref.nullity) == (4, 4)
+
+
+@pytest.mark.parametrize("fixture", ["perturbed_clifford", "perturbed_equator",
+                                     "round_sphere"])
+def test_pencil_gradient_matches_first_variation(request, fixture):
+    # the pencil reads the gradient off the node gradient of the kernel
+    # pass; the explicit first-variation formulas are the other route
+    im = request.getfixturevalue(fixture)
+    basis = morse.normal_variation_basis(im, 2)
+    _, _, _, grad_area, grad_f = morse.sigma_pencil(im, basis)
+    for sigma in (0.0, 0.3):
+        _, ref = morse.basis_gradient(im, basis, sigma)
+        grad = grad_area + sigma ** 2 * grad_f
+        assert np.max(np.abs(grad - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("sigma, index", [(0.17, 4), (0.25, 0)])
 def test_jacobi_spectrum_matches_sigma_oracle(clifford, sigma, index):
     # 1/sqrt(39) < 0.17 < 1/sqrt(31): only the four -2 + 62 sigma^2 modes
@@ -348,12 +385,14 @@ def test_jet_passes_independent_of_cpu_count(request, monkeypatch, fixture):
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
+            pencil = morse.sigma_pencil(im, basis)
             H, G, grad_norm = morse.assemble_hessian(
                 im, basis, 0.3, warn_critical=False)
             diag = morse.hessian_diagonal(im, basis, 0.3)
+            gradient = morse.basis_gradient(im, basis, 0.3)
         finally:
             sys.setswitchinterval(interval)
-        return (H, G, np.array(grad_norm)) + diag
+        return pencil + (H, G, np.array(grad_norm), diag) + gradient
 
     ref = passes(1, 64)
     for cpus, in_flight in [(1, 7), (3, 7), (3, 64)]:
