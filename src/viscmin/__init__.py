@@ -10,40 +10,44 @@ sigma^2 F.
 
 __version__ = "0.1.0"
 
-from .ambient import AmbientManifold, Euclidean, UnitSphere
-from .continuation import (ContinuationConfig, CutoffSpec, StageRecord,
-                           clifford_defect, cutoff_transfer, cutoff_values,
-                           default_schedule, entropy_product,
-                           hessian_convergence_probe, run_continuation,
-                           semicontinuity_verdict, solve_critical_point,
-                           transport_variation, w12_norm)
-from .energy import (EnergyReport, evaluate_energies, first_variation,
-                     second_variation_ambient, second_variation_constrained)
-from .errors import ViscminError
-from .fourier import FourierBasis
-from .gauge import (GaugeDecomposition, coulomb_operator, coupling_residual,
-                    dbar_solve, gauge_decompose, slice_retract, symbol_check)
-from .morse import (SpectrumReport, VariationBasis, assemble_hessian,
-                    jacobi_spectrum, normal_variation_basis,
-                    reparametrization_basis, spectrum_index)
-from .sphharm import SphHarmBasis
-from .surface import (SampledImmersion, SurfaceTopology, Variation,
-                      gauss_bonnet_defect, make_preset, preset_names,
-                      random_variation)
+import importlib
 
-__all__ = [
-    "AmbientManifold", "ContinuationConfig", "CutoffSpec", "EnergyReport",
-    "Euclidean", "FourierBasis", "GaugeDecomposition", "SampledImmersion",
-    "SphHarmBasis", "SpectrumReport", "StageRecord", "SurfaceTopology",
-    "UnitSphere", "Variation", "VariationBasis", "ViscminError",
-    "assemble_hessian", "clifford_defect", "coulomb_operator",
-    "coupling_residual", "cutoff_transfer", "cutoff_values", "dbar_solve",
-    "default_schedule", "entropy_product", "evaluate_energies",
-    "first_variation", "gauge_decompose", "gauss_bonnet_defect",
-    "hessian_convergence_probe", "jacobi_spectrum", "make_preset",
-    "normal_variation_basis", "preset_names", "random_variation",
-    "reparametrization_basis", "run_continuation",
-    "second_variation_ambient", "second_variation_constrained",
-    "semicontinuity_verdict", "slice_retract", "solve_critical_point",
-    "spectrum_index", "symbol_check", "transport_variation", "w12_norm",
-]
+# the submodules load on first use of one of their names, so importing the
+# package loads no numpy: viscmin.cli (run as python -m viscmin.cli or
+# through the viscmin entry point) pins the BLAS threads before numpy
+# loads.  Library users keep their own BLAS settings.
+_EXPORTS = {
+    "ambient": ("AmbientManifold", "Euclidean", "UnitSphere"),
+    "continuation": ("ContinuationConfig", "CutoffSpec", "StageRecord",
+                     "clifford_defect", "cutoff_transfer", "cutoff_values",
+                     "default_schedule", "entropy_product",
+                     "hessian_convergence_probe", "run_continuation",
+                     "semicontinuity_verdict", "solve_critical_point",
+                     "transport_variation", "w12_norm"),
+    "energy": ("EnergyReport", "evaluate_energies", "first_variation",
+               "second_variation_ambient", "second_variation_constrained"),
+    "errors": ("ViscminError",),
+    "fourier": ("FourierBasis",),
+    "gauge": ("GaugeDecomposition", "coulomb_operator", "coupling_residual",
+              "dbar_solve", "gauge_decompose", "slice_retract",
+              "symbol_check"),
+    "morse": ("SpectrumReport", "VariationBasis", "assemble_hessian",
+              "jacobi_spectrum", "normal_variation_basis",
+              "reparametrization_basis", "spectrum_index"),
+    "sphharm": ("SphHarmBasis",),
+    "surface": ("SampledImmersion", "SurfaceTopology", "Variation",
+                "gauss_bonnet_defect", "make_preset", "preset_names",
+                "random_variation"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items()
+          for name in names}
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value

@@ -127,10 +127,13 @@ def solve_critical_point(immersion, sigma, newton_tol=NEWTON_TOL,
     band are frozen (they move along the orbit), steps are capped at
     trust_radius in the L2(dvol) norm, and each update is re-projected
     onto the ambient.  Saddles are legitimate targets, so nothing descends:
-    progress is measured on the gradient norm alone.  Each iteration runs
-    the gradient pass (basis_gradient) first and decides every exit on it;
-    the diagonal pass (hessian_diagonal) runs only when a step is taken,
-    so a start that is already critical costs no diagonal pass at all.
+    progress is measured on the gradient norm alone.  Each iteration
+    synthesizes its mode family once (VariationBasis.triples), takes the
+    gradient from one contraction against the node covectors of the first
+    variation (basis_gradient) and decides every exit on it; the diagonal
+    pass (hessian_diagonal) runs only when a step is taken, so a start
+    that is already critical costs no jet pass at all.  The update reads
+    the mode samples from the same synthesis.
 
     Returns a dict with the final immersion, grad_norm, iterations,
     converged flag and the gradient history.  On stall the best iterate
@@ -166,8 +169,7 @@ def solve_critical_point(immersion, sigma, newton_tol=NEWTON_TOL,
         step_norm = float(np.sqrt(np.sum(step * step * gram_diag)))
         if step_norm > trust_radius:
             step *= trust_radius / step_norm
-        update = np.einsum("a,anq->nq", step,
-                           np.stack([f.values for f in basis.fields]))
+        update = np.einsum("a,anq->nq", step, basis.triples()[0])
         samples = im.ambient.project_point(im.samples() + update)
         im = SampledImmersion.from_samples(im.ambient, im.topology,
                                            im.basis, samples)

@@ -4,7 +4,8 @@ Three independent evaluation routes coexist on purpose:
 
 * explicit tensor formulas for the first variation (metric sweep of the
   area form, normal-hessian pairing for the curvature energy, plus the
-  radial-frame correction in the sphere ambient);
+  radial-frame correction in the sphere ambient), gathered into per-node
+  covectors that any batch of variations is contracted against;
 * exact order-2 jet propagation through the pointwise geometry pipeline for
   second variations (no truncation error, uniform over ambients);
 * plain path evaluators (energies of the deformed map at finite t, chain
@@ -80,11 +81,14 @@ def covariant_hessian(immersion, w):
     return _covariant_hessian_samples(geom, Wd, Wdd)
 
 
-def _covariant_hessian_samples(geom, Wd, Wdd):
-    # Christoffel contraction gamma^s_ij = g^{rs} (P_r . P_ij)
+def _christoffel(geom):
+    """Christoffel symbols gamma^s_ij = g^{rs} (P_r . P_ij), as [i, j, s]."""
     tang = np.einsum("...rq,...ijq->...ijr", geom.Pd, geom.Pdd)
-    gamma = np.einsum("...rs,...ijr->...ijs", geom.ginv, tang)
-    return Wdd - np.einsum("...ijs,...sq->...ijq", gamma, Wd)
+    return np.einsum("...rs,...ijr->...ijs", geom.ginv, tang)
+
+
+def _covariant_hessian_samples(geom, Wd, Wdd):
+    return Wdd - np.einsum("...ijs,...sq->...ijq", _christoffel(geom), Wd)
 
 
 def first_variation(immersion, w):
@@ -114,25 +118,56 @@ def _strain(geom, Wd):
     return u, np.einsum("...ij,...ij->...", geom.ginv, u)
 
 
+def _first_variation_covectors(immersion):
+    """Per-node covectors of the first variations of the area and F
+    densities.
+
+    Both variations are linear in the node coordinates (W, W_i, W_ij), so
+    along any field they are pairings of the field's sample triple with
+    coefficient tensors built once from the geometry, to be integrated
+    against dvol.  With II^{kl} = g^{ik} g^{jl} II_ij and e = 1 + |II|^2:
+    the area covector on W_j is A_j = g^{ij} P_i (tr_g u = A_j . W_j), and
+    the F covector is
+        on W_ij  4e II^{ij},
+        on W_s   e (-4 Gamma^s_kl II^{kl} - 8 R_sb P_b) + e^2 A_s,
+        on W     4e tr_g II (sphere ambient only: the radial frame vector
+                 moves with the family),
+    with Gamma^s_kl = g^{rs} (P_r . P_kl), R = g^-1 S g^-1 and
+    S_ik = g^{jl} II_ij . II_kl.  Returns (A, (f, f_d, f_dd)) shaped like
+    the (Wd) and (W, Wd, Wdd) samples of one field; f is None in flat
+    space.
+    """
+    geom = immersion.geometry
+    ginv, Pd, II = geom.ginv, geom.Pd, geom.II
+    A = np.einsum("...ij,...iq->...jq", ginv, Pd)
+    II_up = np.einsum("...ik,...jl,...ijq->...klq", ginv, ginv, II,
+                      optimize=True)
+    S = np.einsum("...jl,...ijq,...klq->...ik", ginv, II, II, optimize=True)
+    R = ginv @ S @ ginv
+    e = 1.0 + geom.II_norm2
+    f_d = (e[:, None, None]
+           * (-4.0 * np.einsum("...kls,...klq->...sq", _christoffel(geom),
+                               II_up)
+              - 8.0 * np.einsum("...sb,...bq->...sq", R, Pd))
+           + (e * e)[:, None, None] * A)
+    f_dd = (4.0 * e)[:, None, None, None] * II_up
+    f = None
+    if immersion.ambient.kind == "sphere":
+        f = (4.0 * e)[:, None] * geom.trace_II
+    return A, (f, f_d, f_dd)
+
+
 def _first_variation_densities(immersion, W, Wd, Wdd):
     """Per-node first variations of the area and F densities, to be
-    integrated against dvol; leading batch axes of the triple pass through."""
-    geom = immersion.geometry
-    u, tr_u = _strain(geom, Wd)
-    v = _covariant_hessian_samples(geom, Wd, Wdd)
-    # <II, D^g dw>_g with both index pairs swept by the inverse metric
-    pair = np.einsum("...ik,...jl,...ijq,...klq->...",
-                     geom.ginv, geom.ginv, geom.II, v)
-    u_up = np.einsum("...ia,...kb,...ab->...ik", geom.ginv, geom.ginv, u)
-    t1 = np.einsum("...ik,...jl,...ijq,...klq->...",
-                   u_up, geom.ginv, geom.II, geom.II)
-    d_ii2 = 2.0 * pair - 4.0 * t1
-    if immersion.ambient.kind == "sphere":
-        # the radial frame vector moves with the family: projector sweep
-        # contributes tr_g(II) . w
-        d_ii2 = d_ii2 + 2.0 * np.einsum("...q,...q->...", geom.trace_II, W)
-    e = 1.0 + geom.II_norm2
-    return tr_u, 2.0 * e * d_ii2 + e * e * tr_u
+    integrated against dvol; leading batch axes of the triple pass through.
+    Pairs the triple with the node covectors of _first_variation_covectors."""
+    A, (f, f_d, f_dd) = _first_variation_covectors(immersion)
+    d_area = np.einsum("...iq,...iq->...", Wd, A)
+    d_f = (np.einsum("...ijq,...ijq->...", Wdd, f_dd)
+           + np.einsum("...iq,...iq->...", Wd, f_d))
+    if f is not None:
+        d_f = d_f + np.einsum("...q,...q->...", W, f)
+    return d_area, d_f
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +359,8 @@ def batched_quadratic(immersion, W, Wd, Wdd, sigma):
 
 
 def batched_linear(immersion, V, Vd, Vdd, sigma):
-    """DA^sigma on a batch of raw sample triples (B,) results."""
+    """DA^sigma on a batch of raw sample triples (B,) results: one
+    contraction against the node covectors, built once per call."""
     dvol = immersion.geometry.dvol
     d_area, d_f = _first_variation_densities(immersion, V, Vd, Vdd)
     return (np.sum(d_area * dvol, axis=-1)

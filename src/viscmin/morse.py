@@ -9,8 +9,10 @@ H_area + sigma^2 H_F; both parts are contracted from one pass of per-node
 second-derivative kernels of the energy densities (exact jet propagation,
 with the retraction-curvature first-variation term folded in), so one
 pencil serves every sigma.  The index/nullity come from the generalized
-symmetric eigenproblem against the L2 Gram matrix.  The per-field
-gradient and diagonal passes serve only the critical point solver.
+symmetric eigenproblem against the L2 Gram matrix.  A basis synthesizes
+its whole family in one pass and keeps the triples.  The gradient
+contraction and the per-field diagonal pass serve only the critical point
+solver.
 """
 
 import warnings
@@ -21,7 +23,8 @@ import scipy.linalg
 from .errors import GramNotSPD, NonCriticalWarning, ShapeMismatch
 from .fourier import FourierBasis
 from .sphharm import SphHarmBasis
-from .surface import Variation, normal_frame, tangential_field
+from .surface import (Variation, _family_derivatives, normal_frame,
+                      tangential_field)
 from . import energy
 
 __all__ = [
@@ -80,20 +83,29 @@ class VariationBasis:
         self.labels = list(labels)
         if len(self.fields) != len(self.labels):
             raise ShapeMismatch("fields and labels differ in length")
+        self._triples = None
 
     def __len__(self):
         return len(self.fields)
 
     def triples(self):
-        """Stacked (W, Wd, Wdd) arrays over the whole family."""
-        W, Wd, Wdd = zip(*(f.derivatives() for f in self.fields))
-        return np.stack(W), np.stack(Wd), np.stack(Wdd)
+        """Stacked (W, Wd, Wdd) arrays over the whole family.
+
+        The fields' coefficients are stacked and synthesized together, one
+        basis evaluation per chart derivative for the whole family; the
+        arrays are kept on the basis, read-only.
+        """
+        if self._triples is None:
+            coeffs = np.stack([f.coeffs for f in self.fields], axis=-2)
+            self._triples = _family_derivatives(self.immersion.basis, coeffs)
+            for x in self._triples:
+                x.flags.writeable = False
+        return self._triples
 
     def gram(self):
         """L2(dvol) Gram matrix of the family."""
-        geom = self.immersion.geometry
-        vals = np.stack([f.values for f in self.fields])
-        return np.einsum("anq,bnq,n->ab", vals, vals, geom.dvol)
+        W = self.triples()[0]
+        return np.einsum("anq,bnq,n->ab", W, W, self.immersion.geometry.dvol)
 
     def extend(self, other):
         if other.immersion is not self.immersion:
@@ -185,22 +197,15 @@ def assemble_hessian(immersion, basis, sigma, warn_critical=True):
 def basis_gradient(immersion, basis, sigma):
     """Gram diagonal and gradient of A^sigma on a variation basis.
 
-    Returns (gram_diag, grad).  The basis fields go through the explicit
-    first-variation formulas in pieces on every CPU, so this scales to
-    full-band bases where the dense assembly would not; the critical
-    point solver's gradient.  The results are bit-identical for any CPU
-    count.
+    Returns (gram_diag, grad).  The gradient is one contraction of the
+    basis triples against the node covectors of the explicit
+    first-variation formulas (energy.batched_linear), with no jet pass, so
+    this scales to full-band bases where the dense assembly would not; the
+    critical point solver's gradient.
     """
     W, Wd, Wdd = basis.triples()
     gram_diag = np.einsum("anq,anq,n->a", W, W, immersion.geometry.dvol)
-    grad = np.empty(len(basis))
-
-    def run(lo, hi):
-        grad[lo:hi] = energy.batched_linear(
-            immersion, W[lo:hi], Wd[lo:hi], Wdd[lo:hi], sigma)
-
-    energy._run_pieces(immersion, len(basis), run)
-    return gram_diag, grad
+    return gram_diag, energy.batched_linear(immersion, W, Wd, Wdd, sigma)
 
 
 def hessian_diagonal(immersion, basis, sigma):
@@ -209,7 +214,9 @@ def hessian_diagonal(immersion, basis, sigma):
     One jet pass per basis field, in pieces on every CPU with a bounded
     number in flight, so this scales to full-band bases where the dense
     assembly would not; the critical point solver's Newton denominators.
-    The results are bit-identical for any CPU count.
+    In the sphere ambient the retraction term is the first variation
+    (energy.batched_linear) of each field's retraction curvature.  The
+    results are bit-identical for any CPU count.
     """
     W, Wd, Wdd = basis.triples()
     sphere = immersion.ambient.kind == "sphere"

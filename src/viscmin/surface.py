@@ -441,15 +441,33 @@ def _real(x):
 
 def _chart_derivatives(basis, coeffs):
     """Chart first and second derivatives (d, dd) of the field synthesized
-    from coeffs, shaped (N, 2, Q) and (N, 2, 2, Q)."""
-    d = np.stack([_real(basis.evaluate(coeffs, (1, 0))),
-                  _real(basis.evaluate(coeffs, (0, 1)))], axis=-2)
-    uu = _real(basis.evaluate(coeffs, (2, 0)))
-    uv = _real(basis.evaluate(coeffs, (1, 1)))
-    vv = _real(basis.evaluate(coeffs, (0, 2)))
-    dd = np.stack([np.stack([uu, uv], -2),
-                   np.stack([uv, vv], -2)], axis=-3)
+    from coeffs, shaped (N, 2, Q) and (N, 2, 2, Q).  Axes of coeffs between
+    the basis axes and the component axis (a family of fields) come first
+    in both.  Each derivative is written into its slot as soon as it is
+    synthesized, so one synthesis at a time is in flight."""
+    def synthesize(deriv):
+        return np.moveaxis(_real(basis.evaluate(coeffs, deriv)), 0, -2)
+
+    du = synthesize((1, 0))
+    d = np.empty(du.shape[:-1] + (2,) + du.shape[-1:])
+    dd = np.empty(du.shape[:-1] + (2, 2) + du.shape[-1:])
+    d[..., 0, :] = du
+    del du
+    d[..., 1, :] = synthesize((0, 1))
+    dd[..., 0, 0, :] = synthesize((2, 0))
+    dd[..., 0, 1, :] = synthesize((1, 1))
+    dd[..., 1, 0, :] = dd[..., 0, 1, :]
+    dd[..., 1, 1, :] = synthesize((0, 2))
     return d, dd
+
+
+def _family_derivatives(basis, coeffs):
+    """(W, Wd, Wdd) of a family of fields, shaped (B, N, Q), (B, N, 2, Q)
+    and (B, N, 2, 2, Q), from their coefficients stacked on the axis before
+    the component axis: one synthesis for the whole family."""
+    W = np.ascontiguousarray(
+        np.moveaxis(_real(basis.evaluate(coeffs)), 0, -2))
+    return (W, *_chart_derivatives(basis, coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from viscmin import continuation, energy, surface
 from viscmin.errors import BadDelta, EmptyTail, OutOfRange, ShapeMismatch
+from viscmin.fourier import FourierBasis
 
 PI = np.pi
 
@@ -254,3 +255,26 @@ def test_newton_diagonal_pass_once_per_step(monkeypatch, clifford):
     out = continuation.solve_critical_point(im, 0.5, cutoff=4)
     assert out["iterations"] > 0
     assert len(diagonals) == out["iterations"]
+
+
+def test_newton_synthesizes_each_basis_once(monkeypatch):
+    # one batched synthesis of the variation basis per iteration and no
+    # per-field synthesis; the gradient is one contraction, so the only
+    # pooled passes are the diagonal passes of the steps taken
+    families = []
+    chart_derivatives = surface._chart_derivatives
+
+    def counted(basis, coeffs):
+        if coeffs.ndim == (4 if isinstance(basis, FourierBasis) else 3):
+            families.append(coeffs.shape[-2])
+        return chart_derivatives(basis, coeffs)
+
+    monkeypatch.setattr(surface, "_chart_derivatives", counted)
+    fields = _counted(monkeypatch, surface.Variation, "derivatives")
+    pieces = _counted(monkeypatch, energy, "_run_pieces")
+    im = surface.make_preset("perturbed_equator", resolution=8)
+    out = continuation.solve_critical_point(im, 0.5, cutoff=4)
+    assert out["iterations"] > 0
+    assert families == [25] * (out["iterations"] + 1)
+    assert fields == []
+    assert len(pieces) == out["iterations"]

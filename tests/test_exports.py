@@ -1,5 +1,8 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -16,3 +19,15 @@ def test_all_names_resolve(module):
     missing = [name for name in getattr(mod, "__all__", ())
                if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_package_import_loads_no_numpy():
+    # viscmin.cli pins the BLAS threads before numpy loads, which only
+    # works if importing the package itself loads no numpy
+    src = os.path.dirname(os.path.dirname(viscmin.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, viscmin; "
+            "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -148,6 +150,31 @@ def test_cli_spectrum_thread_count_invariant(tmp_path, monkeypatch):
     assert cli.main(["spectrum", "--input", "equator_s2_in_s3",
                      "--basis-cutoff", "2", "--output", b]) == 0
     assert open(a).read() == open(b).read()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs at least two CPUs in the affinity mask")
+def test_cli_spectrum_bytes_independent_of_cpu_count(tmp_path):
+    # a fresh process per run, with no BLAS thread variables set, so the
+    # CLI's own pin must act before numpy loads: multi-threaded BLAS
+    # changes the last digits of this spectrum's -4 and -2 eigenvalues
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {k: v for k, v in os.environ.items() if k not in
+           ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+    outputs = []
+    for k, cpus in enumerate([{min(os.sched_getaffinity(0))},
+                              os.sched_getaffinity(0)]):
+        out = str(tmp_path / f"eigs{k}.csv")
+        run = subprocess.run(
+            [sys.executable, "-m", "viscmin.cli", "spectrum", "--input",
+             "clifford_torus", "--basis-cutoff", "3", "--sigma", "0",
+             "--output", out],
+            env=env, capture_output=True, check=True,
+            preexec_fn=lambda cpus=cpus: os.sched_setaffinity(0, cpus))
+        outputs.append(run.stdout + open(out, "rb").read())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("flag, value", [("--threads", "2"),

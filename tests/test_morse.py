@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from viscmin import energy, morse, surface
 from viscmin.errors import GramNotSPD, NoConvergence, NonCriticalWarning
+from viscmin.fourier import FourierBasis
 from viscmin.sphharm import SphHarmBasis
 
 # Closed-form sigma spectrum of the clifford torus.  On the normal modes
@@ -417,3 +418,32 @@ def test_jet_pass_error_in_later_piece_reaches_caller(monkeypatch,
     with pytest.raises(NoConvergence, match="planted failure") as info:
         morse.hessian_diagonal(im, basis, 0.3)
     assert type(info.value) is NoConvergence
+
+
+@pytest.mark.parametrize("fixture", ["perturbed_clifford", "perturbed_equator"])
+def test_batched_triples_match_per_field_synthesis(request, fixture):
+    # the family is synthesized in one pass over its stacked coefficients;
+    # each field must come out as its own Variation.derivatives would
+    im = request.getfixturevalue(fixture)
+    basis = morse.normal_variation_basis(im, 2)
+    triples = basis.triples()
+    per_field = [np.stack(x) for x in
+                 zip(*(f.derivatives() for f in basis.fields))]
+    for batched, single in zip(triples, per_field):
+        assert batched.shape == single.shape
+        assert np.max(np.abs(batched - single)) <= \
+            1e-13 * np.max(np.abs(single))
+        if isinstance(im.basis, FourierBasis):
+            # every FFT row is transformed on its own either way
+            assert np.array_equal(batched, single)
+    values = np.stack([f.values for f in basis.fields])
+    gram = np.einsum("anq,bnq,n->ab", values, values, im.geometry.dvol)
+    assert_allclose(basis.gram(), gram, rtol=1e-13, atol=0)
+    if isinstance(im.basis, FourierBasis):
+        assert np.array_equal(basis.gram(), gram)
+    # kept on the basis and shared by every caller, so read-only
+    assert all(a is b for a, b in zip(basis.triples(), triples))
+    for x in triples:
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
