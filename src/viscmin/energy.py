@@ -6,8 +6,13 @@ Three independent evaluation routes coexist on purpose:
   area form, normal-hessian pairing for the curvature energy, plus the
   radial-frame correction in the sphere ambient), gathered into per-node
   covectors that any batch of variations is contracted against;
-* exact order-2 jet propagation through the pointwise geometry pipeline for
-  second variations (no truncation error, uniform over ambients);
+* exact order-2 jets for second variations (no truncation error, uniform
+  over ambients).  The hessian kernels behind every spectrum take scalar
+  jets of the node densities as functions of the 21 dot products of each
+  node's six vectors (the Gram route, _node_kernels); the vector jets of
+  the pointwise geometry pipeline along whole fields
+  (second_variation_ambient, batched_quadratic) stay as their oracle and
+  serve the Newton diagonal;
 * plain path evaluators (energies of the deformed map at finite t, chain
   rule through the radial projection for the constrained path) that feed
   the finite-difference oracles in the tests and the variation-check CLI.
@@ -22,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import NotTangent, ShapeMismatch
-from .jets import Jet2
+from .jets import Jet2, jet_sqrt
 from .surface import Variation, pointwise_geometry, vdot
 
 __all__ = [
@@ -290,8 +295,9 @@ def second_variation_constrained(immersion, w, w_other=None, sigma=0.0,
 # batched forms for hessian assembly
 # ---------------------------------------------------------------------------
 
-# jet directions in flight per pass, split over the workers; bounds the
-# memory of the jet arrays and does not change any result
+# jet directions in flight per diagonal pass (batched_quadratic over a
+# family), split over the workers; bounds the memory of the jet arrays and
+# does not change any result
 _IN_FLIGHT = 64
 
 
@@ -302,26 +308,28 @@ def _cpu_count():
     return os.cpu_count() or 1
 
 
-def _run_pieces(immersion, total, run):
+def _run_pieces(immersion, total, run, step=None):
     """Call run(lo, hi) over consecutive pieces covering range(total), on
     every CPU.
 
-    Pieces hold ceil(min(_IN_FLIGHT, total) / workers) directions, so
-    about _IN_FLIGHT directions are in flight at once.  The calling thread
-    takes pieces alongside workers - 1 pool threads; leaving it idle
-    behind a pool of workers threads costs one more malloc arena of freed
-    jet temporaries (on 2 CPUs, 4-8 MB more peak RSS for a Clifford torus
-    spectrum and 19 MB for the equator's).  Each piece must write only
-    its own slices.  The immersion's lazy caches are
-    filled here, on the calling thread, before any piece runs.  If pieces
-    fail, the exception of the first of them is re-raised unchanged.
+    Pieces hold step items, by default ceil(min(_IN_FLIGHT, total) /
+    workers) directions, so that about _IN_FLIGHT directions are in flight
+    at once.  The calling thread takes pieces alongside workers - 1 pool
+    threads; leaving it idle behind a pool of workers threads costs one
+    more malloc arena of freed jet temporaries (on 2 CPUs, 4-8 MB more
+    peak RSS for a Clifford torus spectrum and 19 MB for the equator's,
+    measured on the vector-jet kernel pass).  Each piece must write only
+    its own slices.  The immersion's lazy caches are filled here, on the
+    calling thread, before any piece runs.  If pieces fail, the exception
+    of the first of them is re-raised unchanged.
     """
     if total == 0:
         return
     immersion.derivatives()
     _ = immersion.geometry
     workers = _cpu_count()
-    step = -(-min(_IN_FLIGHT, total) // workers)
+    if step is None:
+        step = -(-min(_IN_FLIGHT, total) // workers)
     starts = iter(range(0, total, step))
     lock = threading.Lock()
     errors = {}
@@ -376,6 +384,24 @@ def batched_linear(immersion, V, Vd, Vdd, sigma):
 # Phi + t w those coordinates move linearly.  So the exact hessian along
 # the free family is H_ab = sum_n y_a(n)^T K_n y_b(n), with y_a(n) the same
 # six samples of w_a and K_n the 6Q x 6Q hessian of the node density.
+#
+# Both densities reach the six node vectors X_p only through their dot
+# products, so each is a function phi(Gamma) of the 21 entries
+# Gamma_pq = X_p . X_q (p <= q) of their Gram matrix, in every ambient.
+# With J = dGamma/dx, linear in the node vectors,
+#     K = J^T (d2 phi) J + (D (x) I_Q),    g = J^T (d phi),
+# where D_pq = d phi / d Gamma_pq off the diagonal and twice that on it
+# (along a line, Gamma_pq has second derivative 2 dX_p . dX_q).  The
+# 21 x 21 hessian of phi comes from one scalar jet pass over the 231
+# polarized Gram directions.
+
+# nodes per piece of the kernel pass; bounds the memory of the jet arrays
+# and does not change any result
+_NODE_BLOCK = 64
+
+# the Gram entries (p, q), p <= q, in the order of the jet directions
+_GRAM_P, _GRAM_Q = np.triu_indices(6)
+
 
 def node_coordinates(W, Wd, Wdd):
     """Stack a sample triple into node coordinates (..., N, 6Q), ordered
@@ -385,54 +411,149 @@ def node_coordinates(W, Wd, Wdd):
                            Wdd[..., 1, 1, :]], axis=-1)
 
 
-def _coordinate_triple(E):
-    """Inverse of node_coordinates for node-independent directions E (D, 6Q):
-    a (D, 1, ...) sample triple that broadcasts over the nodes."""
-    W, Wu, Wv, Wuu, Wuv, Wvv = np.split(E[:, None, :], 6, axis=-1)
-    Wd = np.stack([Wu, Wv], axis=-2)
-    Wdd = np.stack([np.stack([Wuu, Wuv], -2), np.stack([Wuv, Wvv], -2)], -3)
-    return W, Wd, Wdd
+def _gram_densities(G, frame_size, weights):
+    """Per-node (area, f) densities from the Gram matrix of the node vectors.
+
+    G[p][q] = X_p . X_q for the node vectors (P, P_u, P_v, P_uu, P_uv,
+    P_vv), as plain values or jets, with G[q][p] the same object.  The
+    frame is (P_u, P_v), joined by P when frame_size is 3.  The normal
+    parts of the second derivatives pair as
+        N_ab = G_ab - c_a^T gram_inv c_b,   c_a = (X_f . X_a) over the frame,
+    and |II|^2 = g^ir g^js N_(ij)(rs).  Built from +, -, *, / and sqrt
+    only, like pointwise_geometry, so jets propagate exact derivatives.
+    """
+    g11, g12, g22 = G[1][1], G[1][2], G[2][2]
+    det = g11 * g22 - g12 * g12
+    if frame_size == 3:
+        frame = (1, 2, 0)
+        s1, s2, s0 = G[1][0], G[2][0], G[0][0]
+        c01 = s2 * s1 - g12 * s0
+        c02 = g12 * s2 - g22 * s1
+        c12 = g12 * s1 - g11 * s2
+        c00 = g22 * s0 - s2 * s2
+        cof = ((c00, c01, c02), (c01, g11 * s0 - s1 * s1, c12),
+               (c02, c12, det))
+        det_frame = g11 * c00 + g12 * c01 + s1 * c02
+    else:
+        frame = (1, 2)
+        cof = ((g22, -1.0 * g12), (-1.0 * g12, g11))
+        det_frame = det
+    inv_frame = 1.0 / det_frame
+    k = len(frame)
+    cross = [[G[f][a] for f in frame] for a in (3, 4, 5)]
+    adj = [[sum(cof[f][h] * c[h] for h in range(k)) for f in range(k)]
+           for c in cross]
+
+    def normal(a, b):
+        proj = sum(cross[a][f] * adj[b][f] for f in range(k))
+        return G[3 + a][3 + b] - proj * inv_frame
+
+    # g^-1 = adj(g) / det; the arguments of normal are (uu, uv, vv) slots
+    II2 = (g22 * g22 * normal(0, 0) - 4.0 * g22 * g12 * normal(0, 1)
+           + 2.0 * g12 * g12 * normal(0, 2)
+           + 2.0 * (g11 * g22 + g12 * g12) * normal(1, 1)
+           - 4.0 * g11 * g12 * normal(1, 2) + g11 * g11 * normal(2, 2)) \
+        / (det * det)
+    return _node_densities({"sqrt_det": jet_sqrt(det), "II2": II2}, weights)
+
+
+def _gram_coordinates(X, frame):
+    """Node vectors at which the Gram route keeps its digits.
+
+    X (B, 6, Q) holds the node vectors, frame their frame slots.  Returns
+    (X', L, scale) with X' = L X per node (L of shape (B, 6, 6) acting on
+    the slots) and phi(X) = scale * phi(X') for both densities:
+    * the second-derivative slots are sheared off the frame, X_a - sum_f
+      c_fa X_f with c the least-squares coefficients of X_a on the frame
+      vectors.  The densities see X_a only through its normal part, so
+      they do not change, and the Gram route pairs nearly normal vectors
+      instead of subtracting large tangential parts, as it must next to
+      the poles of the sphere chart;
+    * the chart is scaled by powers of two, u -> 2^-a u and v -> 2^-b v,
+      so that |X'_u| and |X'_v| lie in [1/2, 1) and the Gram matrix is not
+      badly scaled where the sphere chart's metric degenerates.  |II|^2
+      does not change and the area form gains 2^-(a+b), so scale is
+      2^(a+b); the scaling is exact in floating point.
+    """
+    F = X[:, frame]
+    coef = np.linalg.solve(np.einsum("nfq,nhq->nfh", F, F),
+                           np.einsum("nfq,naq->nfa", F, X[:, 3:]))
+    L = np.broadcast_to(np.eye(6), (len(X), 6, 6)).copy()
+    L[:, 3:, frame] = -np.swapaxes(coef, 1, 2)
+    Xs = X.copy()
+    Xs[:, 3:] -= np.einsum("nfa,nfq->naq", coef, F)
+    _, a = np.frexp(np.sqrt(np.sum(X[:, 1] * X[:, 1], axis=-1)))
+    _, b = np.frexp(np.sqrt(np.sum(X[:, 2] * X[:, 2], axis=-1)))
+    s = np.ldexp(1.0, -np.stack([0 * a, a, b, 2 * a, a + b, 2 * b], -1))
+    return Xs * s[..., None], L * s[..., None], np.ldexp(1.0, a + b)
 
 
 def _node_kernels(immersion):
     """Node hessians and gradients of the area and F densities.
 
     Returns (K_area, K_f, g_area, g_f) with K of shape (N, 6Q, 6Q) and g of
-    shape (N, 6Q), in the coordinates of node_coordinates.  One jet pass
-    over the 6Q(6Q+1)/2 coordinate directions, run in pieces by
-    _run_pieces: diagonals from e_i, off-diagonals from e_i + e_j by
-    polarization.  The cost does not depend on any variation basis.
+    shape (N, 6Q), in the coordinates of node_coordinates.  Each density
+    is phi(Gamma) of the node Gram matrix (_gram_densities), evaluated at
+    the node vectors X' = L X of _gram_coordinates.  One scalar jet pass
+    over the 231 Gram directions gives its gradient and hessian, diagonals
+    from e_a and off-diagonals from e_a + e_b by polarization, and
+        K = J^T d2phi J + (L^T D L) (x) I_Q,    g = J^T dphi,
+    with J = J'(L (x) I_Q), pull them back to the node coordinates.  The
+    pass runs in pieces of _NODE_BLOCK nodes, each carrying all 231
+    directions, on every CPU by _run_pieces; a node's kernels do not
+    depend on the piece it is in.  The cost does not depend on any
+    variation basis, and on Q only through the pull-back.
     """
-    n = 6 * immersion.ambient.dim
-    ii, jj = np.triu_indices(n)
-    rows = np.arange(len(ii))
-    E = np.zeros((len(ii), n))
-    E[rows, ii] = 1.0
-    E[rows, jj] = 1.0
+    Q = immersion.ambient.dim
+    n = 6 * Q
+    N = immersion.basis.num_nodes
+    frame_size = immersion.ambient.frame_size
+    frame = [1, 2, 0][:frame_size]
+    X = node_coordinates(*immersion.derivatives()).reshape(N, 6, Q)
+    weights = immersion.basis.chart_weights
+    entries = np.arange(len(_GRAM_P))
+    ii, jj = np.triu_indices(len(entries))
+    E = np.zeros((len(ii), len(entries)))
+    E[np.arange(len(ii)), ii] = 1.0
+    E[np.arange(len(ii)), jj] = 1.0
     diag = ii == jj
-    num_nodes = immersion.basis.num_nodes
-    c = np.empty((2, len(ii), num_nodes))
-    # the gradients are read off the diagonal directions e_i only
-    b = np.empty((2, n, num_nodes))
+    kernels = (np.empty((N, n, n)), np.empty((N, n, n)))
+    gradients = (np.empty((N, n)), np.empty((N, n)))
 
     def run(lo, hi):
-        dens = _jet_densities(immersion, *_coordinate_triple(E[lo:hi]))
-        on_diag = diag[lo:hi]
-        for k, d in enumerate(dens):
-            c[k, lo:hi] = d.c
-            b[k, ii[lo:hi][on_diag]] = d.b[on_diag]
+        Xs, L, scale = _gram_coordinates(X[lo:hi], frame)
+        gram = np.sum(Xs[:, :, None, :] * Xs[:, None, :, :], axis=-1)
+        G = [[None] * 6 for _ in range(6)]
+        for k, (p, q) in enumerate(zip(_GRAM_P, _GRAM_Q)):
+            G[p][q] = G[q][p] = Jet2(gram[:, p, q], E[:, k, None])
+        dens = _gram_densities(G, frame_size, weights[lo:hi] * scale)
+        # row (p, q) of J' holds X'_q in slot p and X'_p in slot q
+        Jp = np.zeros((hi - lo, len(entries), 6, Q))
+        Jp[:, entries, _GRAM_Q] = Xs[:, _GRAM_P]
+        Jp[:, entries, _GRAM_P] += Xs[:, _GRAM_Q]
+        J = np.einsum("nasq,nst->natq", Jp, L).reshape(hi - lo, -1, n)
+        Jt = np.swapaxes(J, 1, 2)
+        for d, K, g in zip(dens, kernels, gradients):
+            c = d.c.T
+            cd = c[:, diag]
+            vals = np.where(diag, c, 0.5 * (c - cd[:, ii] - cd[:, jj]))
+            hess = np.empty((hi - lo, len(entries), len(entries)))
+            hess[:, ii, jj] = vals
+            hess[:, jj, ii] = vals
+            dphi = d.b[diag].T
+            D = np.empty((hi - lo, 6, 6))
+            D[:, _GRAM_P, _GRAM_Q] = dphi
+            D[:, _GRAM_Q, _GRAM_P] = dphi
+            D[:, range(6), range(6)] *= 2.0
+            Kb = (Jt @ (hess @ J)).reshape(hi - lo, 6, Q, 6, Q)
+            LDL = np.swapaxes(L, 1, 2) @ D @ L
+            for q in range(Q):
+                Kb[:, :, q, :, q] += LDL
+            K[lo:hi] = Kb.reshape(hi - lo, n, n)
+            g[lo:hi] = (Jt @ dphi[..., None])[..., 0]
 
-    _run_pieces(immersion, len(ii), run)
-    kernels = []
-    for ck in c:
-        kd = ck[diag]
-        vals = np.where(diag[:, None], ck, 0.5 * (ck - kd[ii] - kd[jj]))
-        K = np.empty((num_nodes, n, n))
-        K[:, ii, jj] = vals.T
-        K[:, jj, ii] = vals.T
-        kernels.append(K)
-    g_area, g_f = (bk.T.copy() for bk in b)
-    return kernels[0], kernels[1], g_area, g_f
+    _run_pieces(immersion, N, run, step=_NODE_BLOCK)
+    return kernels + gradients
 
 
 def _retraction_kernel(P, Pd, Pdd, g):

@@ -6,13 +6,13 @@ frame fields (plus, optionally, tangential reparametrization fields, which
 sit in the radical of the hessian at critical points). At a fixed
 immersion the constrained hessian of the relaxed energy is the pencil
 H_area + sigma^2 H_F; both parts are contracted from one pass of per-node
-second-derivative kernels of the energy densities (exact jet propagation,
-with the retraction-curvature first-variation term folded in), so one
-pencil serves every sigma.  The index/nullity come from the generalized
-symmetric eigenproblem against the L2 Gram matrix.  A basis synthesizes
-its whole family in one pass and keeps the triples.  The gradient
-contraction and the per-field diagonal pass serve only the critical point
-solver.
+second-derivative kernels of the energy densities (exact jet propagation
+in Gram coordinates, with the retraction-curvature first-variation term
+folded in), so one pencil serves every sigma.  The index/nullity come
+from the generalized symmetric eigenproblem against the L2 Gram matrix.
+A basis fits and synthesizes its whole family in one pass each and keeps
+the triples.  The gradient contraction and the per-field diagonal pass
+serve only the critical point solver.
 """
 
 import warnings
@@ -118,12 +118,14 @@ def normal_variation_basis(immersion, cutoff):
     """Scalar modes times orthonormal normal frame fields."""
     modes, mode_labels = scalar_modes(immersion, cutoff)
     frames = normal_frame(immersion)
-    fields, labels = [], []
-    for a, nu in enumerate(frames):
-        suffix = f"*nu{a}" if len(frames) > 1 else "*nu"
-        for s, lab in zip(modes, mode_labels):
-            fields.append(Variation(immersion, samples=s[:, None] * nu))
-            labels.append(lab + suffix)
+    # every field's samples stacked (N, M, Q), fitted in one call
+    samples = np.stack([s[:, None] * nu for nu in frames for s in modes],
+                       axis=1)
+    coeffs = immersion.basis.fit(samples)
+    fields = [Variation(immersion, coeffs=coeffs[..., k, :])
+              for k in range(samples.shape[1])]
+    labels = [lab + (f"*nu{a}" if len(frames) > 1 else "*nu")
+              for a in range(len(frames)) for lab in mode_labels]
     return VariationBasis(immersion, fields, labels)
 
 
@@ -146,12 +148,14 @@ def sigma_pencil(immersion, basis):
     Returns (H_area, H_F, G, grad_area, grad_F): at this immersion the
     constrained A^sigma hessian is exactly H_area + sigma^2 H_F and the
     gradient grad_area + sigma^2 grad_F, for every sigma; G is the L2 Gram
-    matrix.  One energy._node_kernels pass serves all of it.  The
-    retraction form is linear in the node gradient, so in the sphere
-    ambient each part's kernel gains its own retraction term, and the
-    gradient is read off the node gradient, grad_a = sum_n g_n . y_a(n).
-    The jet pass runs on every CPU, and its kernels are bit-identical for
-    any CPU count.
+    matrix.  One energy._node_kernels pass serves all of it: scalar jets
+    of each node density over the 231 directions of its node Gram
+    matrix, pulled back to the node coordinates.  The retraction form is
+    linear in the node gradient, so in the sphere ambient each part's
+    kernel gains its own retraction term, and the gradient is read off
+    the node gradient, grad_a = sum_n g_n . y_a(n).  The pass runs in
+    fixed blocks of nodes on every CPU, and the pencil is bit-identical
+    for any CPU count.
     """
     K_area, K_f, g_area, g_f = energy._node_kernels(immersion)
     if immersion.ambient.kind == "sphere":

@@ -6,7 +6,10 @@ quantities (metric, normal projector, second fundamental form, curvatures)
 are computed per collocation node by one shared pipeline. The pipeline is
 written against the small arithmetic protocol of jets.Jet2, so the exact
 same code produces plain values (arrays in) and first/second variations
-along a family (jets in).
+along a family (jets in).  Its jets serve the second variations along
+whole fields (energy.second_variation_ambient and batched_quadratic, the
+Newton diagonal), which are the oracle of the hessian kernels; those
+kernels take their jets in Gram coordinates instead (energy._node_kernels).
 """
 
 import operator

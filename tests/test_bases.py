@@ -101,3 +101,29 @@ def test_basis_dict_round_trip():
     sb = SphHarmBasis(8)
     d = sb.to_dict()
     assert d["degree"] == 8
+
+
+def test_sphharm_tables_match_per_mode_calls():
+    # the tables come from sph_harm_y_all in blocks of points; they must be
+    # bitwise the per-(l, m) sph_harm_y values with the real-harmonic signs
+    from scipy.special import sph_harm_y
+
+    from viscmin.sphharm import _real_tables
+
+    L = 5
+    basis = SphHarmBasis(L)
+    theta, phi = basis.grid_points[:, 0], basis.grid_points[:, 1]
+    ref = np.empty(((L + 1) ** 2, 6, len(theta)))
+    for ell in range(L + 1):
+        for m in range(ell + 1):
+            y, grad, hess = sph_harm_y(ell, m, theta, phi, diff_n=2)
+            stack = np.stack([y, grad[..., 0], grad[..., 1], hess[..., 0, 0],
+                              hess[..., 0, 1], hess[..., 1, 1]])
+            if m == 0:
+                ref[ell * ell + ell] = stack.real
+            else:
+                sign = np.sqrt(2.0) * (-1.0) ** m
+                ref[ell * ell + ell + m] = sign * stack.real
+                ref[ell * ell + ell - m] = sign * stack.imag
+    assert np.array_equal(_real_tables(L, theta, phi), ref)
+    assert np.array_equal(basis._tables, ref)

@@ -164,3 +164,57 @@ def test_composed_variation_bounds(clifford, round_sphere):
     out3 = energy.composed_variation_bounds(round_sphere, field3)
     assert out3["grad_lhs"] <= out3["grad_rhs"] * (1 + 1e-12)
     assert out3["hess_lhs"] <= out3["hess_rhs"] * (1 + 1e-12)
+
+
+def _vector_jet_kernels(im, in_flight=24):
+    """The node kernels and gradients by the vector-jet route: one jet of
+    pointwise_geometry per coordinate direction e_i and e_i + e_j of the
+    6Q node coordinates, hessian entries by polarization."""
+    n = 6 * im.ambient.dim
+    ii, jj = np.triu_indices(n)
+    E = np.zeros((len(ii), n))
+    E[np.arange(len(ii)), ii] = 1.0
+    E[np.arange(len(ii)), jj] = 1.0
+    c = np.empty((2, len(ii), im.basis.num_nodes))
+    b = np.empty((2, len(ii), im.basis.num_nodes))
+    for lo in range(0, len(ii), in_flight):
+        W, Wu, Wv, Wuu, Wuv, Wvv = np.split(E[lo:lo + in_flight, None], 6,
+                                            axis=-1)
+        Wd = np.stack([Wu, Wv], -2)
+        Wdd = np.stack([np.stack([Wuu, Wuv], -2), np.stack([Wuv, Wvv], -2)],
+                       -3)
+        for k, d in enumerate(energy._jet_densities(im, W, Wd, Wdd)):
+            c[k, lo:lo + in_flight], b[k, lo:lo + in_flight] = d.c, d.b
+    diag = ii == jj
+    out = []
+    for ck in c:
+        kd = ck[diag]
+        K = np.empty((im.basis.num_nodes, n, n))
+        K[:, ii, jj] = K[:, jj, ii] = np.where(
+            diag[:, None], ck, 0.5 * (ck - kd[ii] - kd[jj])).T
+        out.append(K)
+    return out + [bk[diag].T for bk in b]
+
+
+@pytest.mark.parametrize("name", ["perturbed_equator", "round_sphere",
+                                  "perturbed_clifford", "clifford_r4"])
+def test_gram_kernels_match_vector_jets_per_node(request, name):
+    # the Gram route against the jets of pointwise_geometry, node by node;
+    # next to the poles of the sphere chart the Gram route keeps these
+    # digits only at its sheared and scaled coordinates
+    im = request.getfixturevalue(name)
+    for new, ref in zip(energy._node_kernels(im), _vector_jet_kernels(im)):
+        axes = tuple(range(1, ref.ndim))
+        err = np.max(np.abs(new - ref), axis=axes)
+        assert np.all(err <= 1e-13 * np.max(np.abs(ref), axis=axes))
+    # the Gram densities are pointwise_geometry's densities
+    P, Pd, Pdd = im.derivatives()
+    X = energy.node_coordinates(P, Pd, Pdd).reshape(len(P), 6, -1)
+    G = [[np.sum(X[:, p] * X[:, q], axis=-1) for q in range(6)]
+         for p in range(6)]
+    weights = im.basis.chart_weights
+    gram = energy._gram_densities(G, im.ambient.frame_size, weights)
+    ref = energy._node_densities(
+        surface.pointwise_geometry(P, Pd, Pdd, im.ambient), weights)
+    for a, b in zip(gram, ref):
+        assert_allclose(a, b, rtol=1e-12, atol=0)

@@ -447,3 +447,22 @@ def test_batched_triples_match_per_field_synthesis(request, fixture):
         assert not x.flags.writeable
         with pytest.raises(ValueError):
             x[0] = 0.0
+
+
+@pytest.mark.parametrize("fixture", ["perturbed_clifford", "perturbed_equator"])
+def test_sigma_pencil_independent_of_node_blocks(request, monkeypatch,
+                                                 fixture):
+    # the kernel pass runs in pieces of nodes on every CPU; a node's
+    # kernels must not depend on the piece it lands in, nor on the thread
+    im = request.getfixturevalue(fixture)
+    basis = morse.normal_variation_basis(im, 1)
+
+    def pencil(block, cpus):
+        monkeypatch.setattr(energy, "_NODE_BLOCK", block)
+        monkeypatch.setattr(energy, "_cpu_count", lambda: cpus)
+        return morse.sigma_pencil(im, basis)
+
+    ref = pencil(energy._NODE_BLOCK, 1)
+    for block, cpus in [(1, 1), (7, 3), (45, 2), (im.basis.num_nodes, 3)]:
+        for a, b in zip(ref, pencil(block, cpus)):
+            assert a.tobytes() == b.tobytes()
