@@ -62,9 +62,10 @@ class UnitSphere(AmbientManifold):
             raise ZeroPoint("radial projection undefined at the origin")
         return z / r
 
-    def contains(self, z, tol=_ON_MANIFOLD_TOL):
+    def contains(self, z):
         z = self._check_points(z)
-        return float(np.max(np.abs(np.linalg.norm(z, axis=-1) - 1.0))) <= tol
+        return (float(np.max(np.abs(np.linalg.norm(z, axis=-1) - 1.0)))
+                <= _ON_MANIFOLD_TOL)
 
     def tangent_project(self, z, X):
         z = self._check_points(z)
@@ -90,7 +91,7 @@ class Euclidean(AmbientManifold):
     def project_point(self, z):
         return self._check_points(z)
 
-    def contains(self, z, tol=_ON_MANIFOLD_TOL):
+    def contains(self, z):
         self._check_points(z)
         return True
 

@@ -93,6 +93,16 @@ class RunConfig:
         return f"RunConfig({self.command!r}, {self.params!r})"
 
 
+def _cast(key, caster, value):
+    """caster(value); a value it cannot parse is a ParseError on key."""
+    try:
+        return caster(value)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ParseError(key, f"cannot parse {key}={value!r}: {exc}")
+
+
 def validate_config(raw):
     """Normalize a raw config dict against the _COMMANDS table; reject
     unknown keys and bad values."""
@@ -111,20 +121,14 @@ def validate_config(raw):
             raise UnknownKey(key, f"unknown key {key!r} for {command}")
         if value is None:
             continue
-        caster, _ = schema[key]
-        try:
-            params[key] = caster(value)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ParseError(key, f"cannot parse {key}={value!r}: {exc}")
+        params[key] = _cast(key, schema[key][0], value)
     for key, (_, default) in schema.items():
         if key in params:
             continue
         if default is _REQUIRED:
             raise ParseError(key, f"{command} requires {key}")
         params[key] = default
-    params["seed"] = int(raw.get("seed", 0))
+    params["seed"] = _cast("seed", int, raw.get("seed", 0))
     if command == "gauge" and params["mode"] not in ("coulomb", "decompose",
                                                      "retract"):
         raise OutOfRange("mode", "mode must be coulomb, decompose or "
@@ -285,7 +289,11 @@ def _cmd_continue(cfg):
     if start is None:
         raise ParseError("start", "continuation config needs a start "
                          "immersion ('start' key or --input)")
-    resolution = raw.pop("resolution", 16)
+    if not isinstance(start, str):
+        raise ParseError("start", f"start must be a preset name or a "
+                         f"checkpoint path, got {start!r}")
+    resolution = _cast("resolution", _int_pos("resolution"),
+                       raw.pop("resolution", 16))
     if start in surface.preset_names():
         im = surface.make_preset(start, resolution=resolution)
     else:

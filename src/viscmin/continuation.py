@@ -24,6 +24,10 @@ from .surface import SampledImmersion, Variation
 
 NEWTON_TOL = 1e-8
 MAX_NEWTON = 40
+TRUST_RADIUS = 0.1         # Newton step cap, L2(dvol) norm
+# log-radial Gauss nodes and angular nodes per cutoff ball (cutoff_transfer)
+TRANSFER_RADIAL = 48
+TRANSFER_ANGULAR = 64
 
 
 def default_schedule(stages=10):
@@ -115,7 +119,7 @@ def _full_band(basis):
 
 
 def solve_critical_point(immersion, sigma, newton_tol=NEWTON_TOL,
-                         max_newton=MAX_NEWTON, cutoff=None, trust_radius=0.1):
+                         max_newton=MAX_NEWTON, cutoff=None):
     """Drive grad A^sigma to zero over normal-mode coefficients.
 
     Mode-preconditioned Newton over the full representable band (cutoff
@@ -125,7 +129,7 @@ def solve_critical_point(immersion, sigma, newton_tol=NEWTON_TOL,
     assembly, and the off-diagonal coupling it ignores shrinks with the
     distance to the critical orbit.  Directions inside the relative null
     band are frozen (they move along the orbit), steps are capped at
-    trust_radius in the L2(dvol) norm, and each update is re-projected
+    TRUST_RADIUS in the L2(dvol) norm, and each update is re-projected
     onto the ambient.  Saddles are legitimate targets, so nothing descends:
     progress is measured on the gradient norm alone.  Each iteration
     synthesizes its mode family once (VariationBasis.triples), takes the
@@ -154,7 +158,7 @@ def solve_critical_point(immersion, sigma, newton_tol=NEWTON_TOL,
         if initial_grad is None:
             initial_grad = grad_norm
         if best is None or grad_norm < best[0]:
-            best = (grad_norm, im, it)
+            best = (grad_norm, im)
         if grad_norm <= newton_tol or it == max_newton:
             iterations = it
             break
@@ -167,14 +171,13 @@ def solve_critical_point(immersion, sigma, newton_tol=NEWTON_TOL,
         live = np.abs(rayleigh) > floor
         step = np.where(live, -g / np.where(live, diag, 1.0), 0.0)
         step_norm = float(np.sqrt(np.sum(step * step * gram_diag)))
-        if step_norm > trust_radius:
-            step *= trust_radius / step_norm
+        if step_norm > TRUST_RADIUS:
+            step *= TRUST_RADIUS / step_norm
         update = np.einsum("a,anq->nq", step, basis.triples()[0])
         samples = im.ambient.project_point(im.samples() + update)
         im = SampledImmersion.from_samples(im.ambient, im.topology,
                                            im.basis, samples)
-    grad_norm, im, _ = min([best, (history[-1], im, iterations)],
-                           key=lambda t: t[0])
+    grad_norm, im = best
     return {
         "immersion": im,
         "grad_norm": grad_norm,
@@ -357,7 +360,7 @@ def cutoff_values(points, spec):
     return chi
 
 
-def cutoff_transfer(w, spec, n_radial=48, n_angular=64):
+def cutoff_transfer(w, spec):
     """Apply the annular cutoff to a variation and measure the damage.
 
     Returns {"w_delta": Variation, "w12_error": scalar, ...} where the
@@ -375,13 +378,13 @@ def cutoff_transfer(w, spec, n_radial=48, n_angular=64):
     root = np.sqrt(spec.delta)
     # radial nodes, log-spaced over [delta, sqrt(delta)]: s = delta e^{tL}
     L = np.log(1.0 / root)
-    tg, tw = np.polynomial.legendre.leggauss(n_radial)
+    tg, tw = np.polynomial.legendre.leggauss(TRANSFER_RADIAL)
     t = 0.5 * (tg + 1.0)
     tw = 0.5 * tw
     radii = spec.delta * np.exp(t * L)
     jac = radii * radii * L      # s ds = s^2 L dt, polar area element
-    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    ang_w = 2.0 * np.pi / n_angular
+    theta = 2.0 * np.pi * np.arange(TRANSFER_ANGULAR) / TRANSFER_ANGULAR
+    ang_w = 2.0 * np.pi / TRANSFER_ANGULAR
     grad_sq = 0.0
     val_sq = 0.0
     for center in spec.centers:
@@ -391,14 +394,14 @@ def cutoff_transfer(w, spec, n_radial=48, n_angular=64):
         vals = basis.evaluate_at(coeffs, pts).real
         du = basis.evaluate_at(coeffs, pts, deriv=(1, 0)).real
         dv = basis.evaluate_at(coeffs, pts, deriv=(0, 1)).real
-        s = np.repeat(radii, n_angular)
+        s = np.repeat(radii, TRANSFER_ANGULAR)
         chi, dchi = chi_profile(s, spec)
-        ct = np.tile(np.cos(theta), n_radial)
-        st = np.tile(np.sin(theta), n_radial)
+        ct = np.tile(np.cos(theta), TRANSFER_RADIAL)
+        st = np.tile(np.sin(theta), TRANSFER_RADIAL)
         diff = (chi - 1.0)[:, None] * vals
         gu = (chi - 1.0)[:, None] * du + (dchi * ct)[:, None] * vals
         gv = (chi - 1.0)[:, None] * dv + (dchi * st)[:, None] * vals
-        weight = np.repeat(jac * tw, n_angular) * ang_w
+        weight = np.repeat(jac * tw, TRANSFER_ANGULAR) * ang_w
         val_sq += float(np.sum(np.sum(diff * diff, axis=-1) * weight))
         grad_sq += float(np.sum((np.sum(gu * gu, axis=-1)
                                  + np.sum(gv * gv, axis=-1)) * weight))

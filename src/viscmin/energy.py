@@ -12,7 +12,10 @@ Three independent evaluation routes coexist on purpose:
   node's six vectors (the Gram route, _node_kernels); the vector jets of
   the pointwise geometry pipeline along whole fields
   (second_variation_ambient, batched_quadratic) stay as their oracle and
-  serve the Newton diagonal;
+  serve the Newton diagonal.  Both jet routes run one density algebra
+  (surface._frame_cofactors and surface._ii_norm2) and differ only in how
+  they form the normal pairings: Schur complements of the Gram matrix
+  against dot products of projected vectors;
 * plain path evaluators (energies of the deformed map at finite t, chain
   rule through the radial projection for the constrained path) that feed
   the finite-difference oracles in the tests and the variation-check CLI.
@@ -28,7 +31,8 @@ import numpy as np
 
 from .errors import NotTangent, ShapeMismatch
 from .jets import Jet2, jet_sqrt
-from .surface import Variation, pointwise_geometry, vdot
+from .surface import (Variation, _frame_cofactors, _ii_norm2,
+                      pointwise_geometry)
 
 __all__ = [
     "EnergyReport", "evaluate_energies", "first_variation",
@@ -166,6 +170,9 @@ def _first_variation_densities(immersion, W, Wd, Wdd):
     """Per-node first variations of the area and F densities, to be
     integrated against dvol; leading batch axes of the triple pass through.
     Pairs the triple with the node covectors of _first_variation_covectors."""
+    # contiguous, so that one field pairs to the bits it gets in a stacked
+    # batch: einsum sums a strided operand (a .real view) in another order
+    W, Wd, Wdd = (np.ascontiguousarray(x) for x in (W, Wd, Wdd))
     A, (f, f_d, f_dd) = _first_variation_covectors(immersion)
     d_area = np.einsum("...iq,...iq->...", Wd, A)
     d_f = (np.einsum("...ijq,...ijq->...", Wdd, f_dd)
@@ -416,44 +423,30 @@ def _gram_densities(G, frame_size, weights):
 
     G[p][q] = X_p . X_q for the node vectors (P, P_u, P_v, P_uu, P_uv,
     P_vv), as plain values or jets, with G[q][p] the same object.  The
-    frame is (P_u, P_v), joined by P when frame_size is 3.  The normal
-    parts of the second derivatives pair as
-        N_ab = G_ab - c_a^T gram_inv c_b,   c_a = (X_f . X_a) over the frame,
-    and |II|^2 = g^ir g^js N_(ij)(rs).  Built from +, -, *, / and sqrt
-    only, like pointwise_geometry, so jets propagate exact derivatives.
+    density algebra is pointwise_geometry's (surface._frame_cofactors and
+    surface._ii_norm2); only the normal pairings are formed differently,
+    as Schur complements of the Gram matrix instead of dot products of
+    projected vectors:
+        N_ab = G_ab - c_a^T cof c_b / det_frame,   c_a = (X_f . X_a),
+    with cof and det_frame the cofactors and determinant of the frame's
+    Gram matrix and f running over the frame.
     """
     g11, g12, g22 = G[1][1], G[1][2], G[2][2]
-    det = g11 * g22 - g12 * g12
+    frame, s = (1, 2), None
     if frame_size == 3:
-        frame = (1, 2, 0)
-        s1, s2, s0 = G[1][0], G[2][0], G[0][0]
-        c01 = s2 * s1 - g12 * s0
-        c02 = g12 * s2 - g22 * s1
-        c12 = g12 * s1 - g11 * s2
-        c00 = g22 * s0 - s2 * s2
-        cof = ((c00, c01, c02), (c01, g11 * s0 - s1 * s1, c12),
-               (c02, c12, det))
-        det_frame = g11 * c00 + g12 * c01 + s1 * c02
-    else:
-        frame = (1, 2)
-        cof = ((g22, -1.0 * g12), (-1.0 * g12, g11))
-        det_frame = det
+        frame, s = (1, 2, 0), (G[1][0], G[2][0], G[0][0])
+    cof, det_frame = _frame_cofactors(g11, g12, g22, s)
+    det = det_frame if s is None else cof[2][2]
     inv_frame = 1.0 / det_frame
-    k = len(frame)
     cross = [[G[f][a] for f in frame] for a in (3, 4, 5)]
-    adj = [[sum(cof[f][h] * c[h] for h in range(k)) for f in range(k)]
-           for c in cross]
+    adj = [[sum(c * x for c, x in zip(row, cr)) for row in cof]
+           for cr in cross]
 
     def normal(a, b):
-        proj = sum(cross[a][f] * adj[b][f] for f in range(k))
+        proj = sum(x * y for x, y in zip(cross[a], adj[b]))
         return G[3 + a][3 + b] - proj * inv_frame
 
-    # g^-1 = adj(g) / det; the arguments of normal are (uu, uv, vv) slots
-    II2 = (g22 * g22 * normal(0, 0) - 4.0 * g22 * g12 * normal(0, 1)
-           + 2.0 * g12 * g12 * normal(0, 2)
-           + 2.0 * (g11 * g22 + g12 * g12) * normal(1, 1)
-           - 4.0 * g11 * g12 * normal(1, 2) + g11 * g11 * normal(2, 2)) \
-        / (det * det)
+    II2 = _ii_norm2(g11, g12, g22, det, normal)
     return _node_densities({"sqrt_det": jet_sqrt(det), "II2": II2}, weights)
 
 

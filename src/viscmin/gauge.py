@@ -29,16 +29,19 @@ __all__ = [
 CONFORMAL_TOL = 1e-8
 MEAN_TOL = 1e-10
 SLICE_TOL = 1e-8
+SLICE_RADIUS = 0.05
+SLICE_MAX_ITER = 50
 IN_SLICE_TOL = 1e-6
 
 
-def conformal_check(immersion, tol=CONFORMAL_TOL):
+def conformal_check(immersion):
     """Max relative conformal defect; raises off conformal charts."""
     geom = immersion.geometry
     defect = geom.conformal_defect
-    if defect > tol:
+    if defect > CONFORMAL_TOL:
         raise NonConformalChart(
-            f"chart is not conformal (defect {defect:.2e} > {tol:.0e})")
+            f"chart is not conformal (defect {defect:.2e} > "
+            f"{CONFORMAL_TOL:.0e})")
     return defect
 
 
@@ -48,25 +51,35 @@ def _require_torus(immersion):
     return immersion.basis
 
 
+def _wirtinger(basis, coeffs, bar=False, solve=False):
+    """Grid samples of d/dz, (d_u - i d_v)/2, or when bar of d/dzbar,
+    (d_u + i d_v)/2, of the field with these (n, n, ...) coefficients.
+    With solve, the Fourier symbol divides instead, on the band's modes
+    where it does not vanish, and the other modes are dropped."""
+    f = basis.freqs
+    mult = 0.5 * ((1j * f[:, None] - f[None, :]) if bar
+                  else (f[None, :] + 1j * f[:, None]))
+    c = np.asarray(coeffs).reshape(basis.n, basis.n, -1)
+    if solve:
+        out = np.zeros_like(c)
+        nz = basis.mode_mask & (np.abs(mult) > 0)
+        out[nz] = c[nz] / mult[nz][:, None]
+    else:
+        out = c * mult[:, :, None]
+    return basis.evaluate(out.reshape(np.shape(coeffs)))
+
+
 def dz_field(basis, samples):
     """d/dz of a complex grid field, spectrally (d_u - i d_v)/2."""
-    c = basis.fit(samples)
-    freqs = basis.freqs
-    mult = 0.5 * (freqs[None, :] + 1j * freqs[:, None])
-    return basis.evaluate((c.reshape(basis.n, basis.n, -1)
-                           * mult[:, :, None]).reshape(c.shape))
+    return _wirtinger(basis, basis.fit(samples))
 
 
 def dzbar_field(basis, samples):
     """d/dzbar of a complex grid field, spectrally (d_u + i d_v)/2."""
-    c = basis.fit(samples)
-    freqs = basis.freqs
-    mult = 0.5 * (1j * freqs[:, None] - freqs[None, :])
-    return basis.evaluate((c.reshape(basis.n, basis.n, -1)
-                           * mult[:, :, None]).reshape(c.shape))
+    return _wirtinger(basis, basis.fit(samples), bar=True)
 
 
-def dbar_solve(immersion, rhs, mean_tol=MEAN_TOL):
+def dbar_solve(immersion, rhs):
     """Solve d/dzbar a = rhs on the torus chart.
 
     The right-hand side must have zero plain mean (the grid image of the
@@ -80,18 +93,13 @@ def dbar_solve(immersion, rhs, mean_tol=MEAN_TOL):
     rhs = np.asarray(rhs, dtype=complex)
     if rhs.shape != (basis.num_nodes,):
         raise ShapeMismatch("rhs must be a complex scalar grid field")
-    c = basis.fit(rhs[:, None])[:, :, 0]
+    c = basis.fit(rhs[:, None])
     scale = max(1.0, float(np.max(np.abs(rhs))))
-    if abs(c[0, 0]) > mean_tol * scale:
+    if abs(c[0, 0, 0]) > MEAN_TOL * scale:
         raise NotInRange(
-            f"rhs has nonzero mean {abs(c[0, 0]):.2e}; not in the range "
+            f"rhs has nonzero mean {abs(c[0, 0, 0]):.2e}; not in the range "
             f"of dbar")
-    freqs = basis.freqs
-    mult = 0.5 * (1j * freqs[:, None] - freqs[None, :])
-    sol = np.zeros_like(c)
-    nz = basis.mode_mask & (np.abs(mult) > 0)
-    sol[nz] = c[nz] / mult[nz]
-    a = basis.evaluate(sol[:, :, None])[:, 0]
+    a = _wirtinger(basis, c, bar=True, solve=True)[:, 0]
     # kernel normalization: weighted mean zero, weight e^{4 lambda}
     w4 = immersion.geometry.conformal_factor ** 2
     a = a - np.sum(a * w4) / np.sum(w4)
@@ -114,11 +122,7 @@ def coulomb_operator(immersion, w):
         Wc = basis.fit(np.asarray(w, dtype=float))
     P, Pd, _ = immersion.derivatives()
     dzPhi = 0.5 * (Pd[:, 0, :] - 1j * Pd[:, 1, :])
-    freqs = basis.freqs
-    multz = 0.5 * (freqs[None, :] + 1j * freqs[:, None])
-    Wn = np.asarray(Wc).reshape(basis.n, basis.n, -1)
-    dzW = basis.evaluate((Wn * multz[:, :, None]).reshape(np.shape(Wc)))
-    q = np.sum(dzW * dzPhi, axis=-1)
+    q = np.sum(_wirtinger(basis, Wc) * dzPhi, axis=-1)
     # the derivative product carries content past the band edge; its
     # discrete representative is the band-limited synthesis (the grid's
     # Nyquist lines are outside every representable mode)
@@ -175,8 +179,7 @@ def gauge_decompose(immersion, v):
     return GaugeDecomposition(b, h_const, X, residual)
 
 
-def slice_retract(immersion, target, r_slice=0.05, tol=SLICE_TOL,
-                  max_iter=50):
+def slice_retract(immersion, target):
     """Reparametrize a nearby immersion into the Coulomb slice.
 
     Finds a chart diffeomorphism psi with w = target o psi - Phi in the
@@ -192,10 +195,10 @@ def slice_retract(immersion, target, r_slice=0.05, tol=SLICE_TOL,
         raise ShapeMismatch("target must share the source grid")
     gap = float(np.max(np.linalg.norm(
         target.samples() - immersion.samples(), axis=-1)))
-    if gap > r_slice:
+    if gap > SLICE_RADIUS:
         raise NotInRange(
             f"target is {gap:.3f} away in sup norm, outside the slice "
-            f"neighborhood r_slice={r_slice}")
+            f"neighborhood r_slice={SLICE_RADIUS}")
     pts = basis.grid_points
     # the diffeomorphism lives on an oversampled grid: band-limiting the
     # accumulated displacement to the coarse band would feed its truncation
@@ -203,14 +206,14 @@ def slice_retract(immersion, target, r_slice=0.05, tol=SLICE_TOL,
     fine = FourierBasis(2 * basis.n + 1)
     disp_fine = np.zeros((fine.num_nodes, 2))
     resid = np.inf
-    for it in range(max_iter):
+    for it in range(SLICE_MAX_ITER):
         disp_c = fine.fit(disp_fine)
         disp_coarse = fine.evaluate_at(disp_c, pts).real
         w_samples = target.basis.evaluate_at(
             target.coeffs, pts + disp_coarse).real - immersion.samples()
         q, _ = coulomb_operator(immersion, w_samples)
         resid = float(np.max(np.abs(q)))
-        if resid <= tol:
+        if resid <= SLICE_TOL:
             break
         dec = gauge_decompose(immersion, w_samples)
         X_c = basis.fit(dec.X)
@@ -222,7 +225,8 @@ def slice_retract(immersion, target, r_slice=0.05, tol=SLICE_TOL,
                      + (flow - fine.grid_points))
     else:
         raise NoConvergence(
-            f"slice retraction: residual {resid:.2e} after {max_iter} steps")
+            f"slice retraction: residual {resid:.2e} after {SLICE_MAX_ITER} "
+            f"steps")
     w = Variation(immersion, samples=w_samples)
     disp_c = fine.fit(disp_fine)
     psi = pts + fine.evaluate_at(disp_c, pts).real
@@ -235,7 +239,7 @@ def slice_retract(immersion, target, r_slice=0.05, tol=SLICE_TOL,
     return w, info
 
 
-def coupling_residual(immersion, w, slice_tol=IN_SLICE_TOL):
+def coupling_residual(immersion, w):
     """Defect of the gauge-coupling identity for a slice variation.
 
     For w in the Coulomb slice, dzbar(a_w) - pi_n(w) . H must lie in the
@@ -249,7 +253,7 @@ def coupling_residual(immersion, w, slice_tol=IN_SLICE_TOL):
     if not isinstance(w, Variation):
         w = Variation(immersion, samples=np.asarray(w, dtype=float))
     q, _ = coulomb_operator(immersion, w)
-    if np.max(np.abs(q)) > slice_tol:
+    if np.max(np.abs(q)) > IN_SLICE_TOL:
         raise NotInSlice(
             f"variation is not in the Coulomb slice "
             f"(pairing sup {np.max(np.abs(q)):.2e})")

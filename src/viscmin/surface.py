@@ -10,9 +10,13 @@ along a family (jets in).  Its jets serve the second variations along
 whole fields (energy.second_variation_ambient and batched_quadratic, the
 Newton diagonal), which are the oracle of the hessian kernels; those
 kernels take their jets in Gram coordinates instead (energy._node_kernels).
-"""
 
-import operator
+The node density algebra is written once, for both routes: the cofactors
+and determinant of the frame's Gram matrix (_frame_cofactors) and the
+six-term |II|^2 (_ii_norm2).  The routes differ only in how they pair the
+normal parts of the second derivatives: here as dot products of projected
+vectors, in the Gram route as Schur complements of the node Gram matrix.
+"""
 
 import numpy as np
 
@@ -20,7 +24,7 @@ from .ambient import AmbientManifold, Euclidean, UnitSphere, ambient_from_dict
 from .errors import (DegenerateMetric, NoConvergence, OffManifold,
                      ResolutionTooLow, ShapeMismatch, UnknownPreset)
 from .fourier import FourierBasis
-from .jets import Jet2, jet_sqrt, jet_sum
+from .jets import jet_sqrt, jet_sum
 from .sphharm import SphHarmBasis
 
 __all__ = [
@@ -33,6 +37,10 @@ __all__ = [
 
 ON_MANIFOLD_TOL = 5e-9
 DET_FLOOR = 1e-8
+# sweep caps of from_samples and tangent_project, and the latter's target
+PROJECTION_SWEEPS = 12
+TANGENT_PROJECT_TOL = 5e-9
+TANGENT_SWEEPS = 80
 
 
 def vdot(x, y):
@@ -100,6 +108,42 @@ class SurfaceTopology:
 # pointwise geometry pipeline (arrays or jets)
 # ---------------------------------------------------------------------------
 
+def _frame_cofactors(g11, g12, g22, s=None):
+    """Cofactor matrix and determinant of the Gram matrix of the frame.
+
+    The frame is (P_u, P_v) with metric entries g11, g12, g22; when
+    s = (P_u.P, P_v.P, P.P) is given, P joins it, and the last diagonal
+    cofactor is det g.  Returns (cof, det_frame); the inverse Gram matrix
+    is cof / det_frame.
+    """
+    det = g11 * g22 - g12 * g12
+    if s is None:
+        return ((g22, -1.0 * g12), (-1.0 * g12, g11)), det
+    s1, s2, s0 = s
+    c00 = g22 * s0 - s2 * s2
+    c01 = s2 * s1 - g12 * s0
+    c02 = g12 * s2 - g22 * s1
+    c12 = g12 * s1 - g11 * s2
+    cof = ((c00, c01, c02), (c01, g11 * s0 - s1 * s1, c12), (c02, c12, det))
+    return cof, g11 * c00 + g12 * c01 + s1 * c02
+
+
+def _ii_norm2(g11, g12, g22, det, normal):
+    """|II|^2 = g^ir g^js (II_ij . II_rs) with g^-1 = adj(g) / det.
+
+    normal(a, b) pairs the normal parts of the second derivatives in the
+    slots a, b of (uu, uv, vv); by symmetry six distinct pairings serve
+    the sixteen terms.  The sum is multiplied by 1 / det^2, not divided by
+    det^2: a jet divides by multiplying with its reciprocal, so this way
+    a jet's value slot is the plain value bit for bit.
+    """
+    return (g22 * g22 * normal(0, 0) - 4.0 * g22 * g12 * normal(0, 1)
+            + 2.0 * g12 * g12 * normal(0, 2)
+            + 2.0 * (g11 * g22 + g12 * g12) * normal(1, 1)
+            - 4.0 * g11 * g12 * normal(1, 2) + g11 * g11 * normal(2, 2)) \
+        * (1.0 / (det * det))
+
+
 def pointwise_geometry(P, Pd, Pdd, ambient):
     """Second-order pointwise geometry of an immersion.
 
@@ -125,89 +169,35 @@ def pointwise_geometry(P, Pd, Pdd, ambient):
     g11 = vdot(P1, P1)
     g12 = vdot(P1, P2)
     g22 = vdot(P2, P2)
-    det = g11 * g22 - g12 * g12
-    inv_det = 1.0 / det if not isinstance(det, Jet2) else det.reciprocal()
-    i11 = g22 * inv_det
-    i12 = -1.0 * g12 * inv_det
-    i22 = g11 * inv_det
-    ginv = ((i11, i12), (i12, i22))
-
+    frame, s = (P1, P2), None
     if ambient.frame_size == 3:
-        frame = (P1, P2, P)
-        s1 = vdot(P1, P)
-        s2 = vdot(P2, P)
-        s0 = vdot(P, P)
-        c00 = g22 * s0 - s2 * s2
-        c01 = s2 * s1 - g12 * s0
-        c02 = g12 * s2 - g22 * s1
-        c11 = g11 * s0 - s1 * s1
-        c12 = g12 * s1 - g11 * s2
-        c22 = g11 * g22 - g12 * g12
-        det3 = g11 * c00 + g12 * c01 + s1 * c02
-        inv3 = 1.0 / det3 if not isinstance(det3, Jet2) else det3.reciprocal()
-        t01, t02, t12 = c01 * inv3, c02 * inv3, c12 * inv3
-        gram_inv = ((c00 * inv3, t01, t02),
-                    (t01, c11 * inv3, t12),
-                    (t02, t12, c22 * inv3))
-    else:
-        frame = (P1, P2)
-        gram_inv = ((i11, i12), (i12, i22))
-
-    k = len(frame)
+        frame, s = (P1, P2, P), (vdot(P1, P), vdot(P2, P), vdot(P, P))
+    cof, det_frame = _frame_cofactors(g11, g12, g22, s)
+    det = det_frame if s is None else cof[2][2]
+    inv_det = 1.0 / det
+    inv_frame = 1.0 / det_frame
 
     def project_normal(X):
         """Orthogonal projection onto the normal bundle of the frame."""
         dots = [vdot(f, X) for f in frame]
         out = X
-        for a in range(k):
-            coeff = 0.0
-            for b in range(k):
-                coeff = coeff + gram_inv[a][b] * dots[b]
-            out = out - _ex(coeff) * frame[a]
+        for row, f in zip(cof, frame):
+            coeff = sum(c * d for c, d in zip(row, dots)) * inv_frame
+            out = out - _ex(coeff) * f
         return out
 
-    II = [[project_normal(Pdd[..., 0, 0, :]), project_normal(Pdd[..., 0, 1, :])],
-          [None, project_normal(Pdd[..., 1, 1, :])]]
-    II[1][0] = II[0][1]
-
-    # |II|^2 = sum over (i, j, r, s) of g^ir g^js (II_ij . II_rs); the
-    # symmetric slots share objects, so 9 distinct products of each kind
-    # serve the 16 terms, summed in the same order
-    slots = [(i, j, r, s) for i in range(2) for j in range(2)
-             for r in range(2) for s in range(2)]
-    weights = _each_product_once(
-        [(ginv[i][r], ginv[j][s]) for i, j, r, s in slots],
-        operator.mul)
-    dots = _each_product_once(
-        [(II[i][j], II[r][s]) for i, j, r, s in slots], vdot)
-    II2 = 0.0
-    for weight, dot in zip(weights, dots):
-        II2 = II2 + weight * dot
-
+    II = [project_normal(Pdd[..., 0, 0, :]), project_normal(Pdd[..., 0, 1, :]),
+          project_normal(Pdd[..., 1, 1, :])]
     return {
         "g": (g11, g12, g22),
         "det": det,
         "sqrt_det": jet_sqrt(det),
-        "ginv": (i11, i12, i22),
-        "frame": frame,
-        "gram_inv": gram_inv,
+        "ginv": (g22 * inv_det, -1.0 * g12 * inv_det, g11 * inv_det),
         "project_normal": project_normal,
-        "II": II,
-        "II2": II2,
+        "II": [[II[0], II[1]], [II[1], II[2]]],
+        "II2": _ii_norm2(g11, g12, g22, det,
+                         lambda a, b: vdot(II[a], II[b])),
     }
-
-
-def _each_product_once(pairs, product):
-    """Yield product(x, y) for each (x, y) of pairs in order, forming the
-    product of the same two objects (in the same order) only once and
-    dropping it after its last use."""
-    last = {(id(x), id(y)): n for n, (x, y) in enumerate(pairs)}
-    memo = {}
-    for n, (x, y) in enumerate(pairs):
-        key = (id(x), id(y))
-        if key not in memo:
-            memo[key] = product(x, y)
-        yield memo.pop(key) if last[key] == n else memo[key]
 
 
 class GeometryData:
@@ -318,7 +308,7 @@ def brioschi_curvature(immersion):
 class SampledImmersion:
     """Band-limited immersion of a torus or sphere chart into the ambient."""
 
-    def __init__(self, ambient, topology, basis, coeffs, validate=True):
+    def __init__(self, ambient, topology, basis, coeffs):
         if topology.genus == 1 and not isinstance(basis, FourierBasis):
             raise ShapeMismatch("genus 1 needs the torus basis")
         if topology.genus == 0 and not isinstance(basis, SphHarmBasis):
@@ -331,21 +321,20 @@ class SampledImmersion:
         # every checkpoint round-trip bit-exact
         self.coeffs = basis.unpack_real(basis.pack_real(coeffs))
         self._cache = {}
-        if validate:
-            samples = self.samples()
-            off = np.max(np.linalg.norm(
-                samples - ambient.project_point(samples), axis=-1)) \
-                if ambient.kind == "sphere" else 0.0
-            if off > ON_MANIFOLD_TOL:
-                raise OffManifold(
-                    f"immersion leaves the ambient by {off:.2e} "
-                    f"(tolerance {ON_MANIFOLD_TOL:.0e})")
-            _ = self.geometry  # raises DegenerateMetric if g is singular
+        samples = self.samples()
+        off = np.max(np.linalg.norm(
+            samples - ambient.project_point(samples), axis=-1)) \
+            if ambient.kind == "sphere" else 0.0
+        if off > ON_MANIFOLD_TOL:
+            raise OffManifold(
+                f"immersion leaves the ambient by {off:.2e} "
+                f"(tolerance {ON_MANIFOLD_TOL:.0e})")
+        _ = self.geometry  # raises DegenerateMetric if g is singular
 
     # -- constructors -----------------------------------------------------------
 
     @classmethod
-    def from_samples(cls, ambient, topology, basis, samples, max_sweeps=12):
+    def from_samples(cls, ambient, topology, basis, samples):
         """Fit grid samples, alternating projection onto the ambient with
         band-limited refits until the synthesized field lies on the ambient.
 
@@ -360,7 +349,7 @@ class SampledImmersion:
         current = ambient.project_point(samples)
         coeffs = basis.fit(current)
         if ambient.kind == "sphere":
-            for _ in range(max_sweeps):
+            for _ in range(PROJECTION_SWEEPS):
                 synth = _real(basis.evaluate(coeffs))
                 off = np.max(np.abs(np.linalg.norm(synth, axis=-1) - 1.0))
                 if off <= ON_MANIFOLD_TOL / 10.0:
@@ -548,7 +537,7 @@ def tangential_field(immersion, X):
     return Variation(immersion, samples=w)
 
 
-def tangent_project(immersion, samples, tol=5e-9, max_sweeps=80):
+def tangent_project(immersion, samples):
     """Band-limited field tangent to the ambient sphere, near the samples.
 
     Tangency (pointwise) and band limitation are both linear constraints, so
@@ -561,11 +550,11 @@ def tangent_project(immersion, samples, tol=5e-9, max_sweeps=80):
     P = immersion.samples()
     basis = immersion.basis
     w = np.asarray(samples, dtype=float)
-    for _ in range(max_sweeps):
+    for _ in range(TANGENT_SWEEPS):
         w = w - np.sum(P * w, axis=-1, keepdims=True) * P
         w = _real(basis.evaluate(basis.fit(w)))
         defect = np.max(np.abs(np.sum(P * w, axis=-1)))
-        if defect <= tol:
+        if defect <= TANGENT_PROJECT_TOL:
             break
     else:
         raise NoConvergence(

@@ -298,6 +298,37 @@ def test_cli_continue_bad_config_value(tmp_path, capsys, bad):
     assert not os.path.exists(tmp_path / "out")
 
 
+def test_cli_bad_seed_is_parse_error(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    code = cli.main(["energy", "--input", "clifford_torus", "--seed", "abc",
+                     "--output", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert err["field"] == "seed"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("bad, field", [({"resolution": "abc"}, "resolution"),
+                                        ({"start": 5}, "start"),
+                                        ({"start": ["clifford_torus"]},
+                                         "start")])
+def test_cli_continue_bad_start_or_resolution(tmp_path, capsys, bad, field):
+    # the start immersion and its resolution are checked like the config
+    # keys, before anything is built or written
+    cfg_path = str(tmp_path / "run.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"start": "clifford_torus", "resolution": 8,
+                   "sigma_schedule": [0.5], **bad}, fh)
+    code = cli.main(["continue", "--config", cfg_path,
+                     "--output", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert err["field"] == field
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     # validation failure: exit 2 with structured JSON on stderr
     code = cli.main(["energy", "--input", "x.json", "--sigma", "-3"])

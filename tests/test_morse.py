@@ -323,17 +323,6 @@ def test_kernel_hessian_matches_polarized_oracle(request, fixture, cutoff,
     assert (rep.index, rep.nullity) == (rep_ref.index, rep_ref.nullity)
 
 
-def test_kernel_hessian_independent_of_chunk(monkeypatch, perturbed_clifford):
-    basis = morse.normal_variation_basis(perturbed_clifford, 1)
-    monkeypatch.setattr(energy, "_IN_FLIGHT", 7)
-    H7, _, _ = morse.assemble_hessian(perturbed_clifford, basis, 0.17,
-                                      warn_critical=False)
-    monkeypatch.setattr(energy, "_IN_FLIGHT", 64)
-    H64, _, _ = morse.assemble_hessian(perturbed_clifford, basis, 0.17,
-                                       warn_critical=False)
-    assert np.array_equal(H7, H64)
-
-
 @pytest.mark.parametrize("sigma, index, gap", [(0.0, 5, 2.0),
                                                (0.17, 4, 0.2082)])
 def test_tangential_fields_sit_in_the_radical(clifford, sigma, index, gap):

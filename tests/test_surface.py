@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from viscmin import surface
+from viscmin import morse, surface
 from viscmin.errors import (DegenerateMetric, OffManifold, ResolutionTooLow,
                             UnknownPreset)
 from viscmin.fourier import FourierBasis
+from viscmin.jets import Jet2
 
 
 def test_preset_names_sorted():
@@ -149,3 +150,32 @@ def test_brioschi_matches_gauss_curvature(clifford):
     with pytest.raises(Exception):
         surface.brioschi_curvature(sph)
     assert_allclose(sph.geometry.gauss_curvature, 1.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", ["perturbed_clifford", "perturbed_equator",
+                                  "clifford_r4"])
+def test_ii_norm2_is_the_full_contraction(request, name):
+    # |II|^2 summed over all sixteen index slots g^ik g^jl II_ij . II_kl: an
+    # oracle outside the six-term form that the vector and Gram routes
+    # share.  The perturbed charts have g12 != 0, which the flat Clifford
+    # charts do not, so there none of the six terms drops out
+    geom = request.getfixturevalue(name).geometry
+    ref = np.einsum("...ik,...jl,...ijq,...klq->...", geom.ginv, geom.ginv,
+                    geom.II, geom.II)
+    assert_allclose(geom.II_norm2, ref, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("name", ["perturbed_clifford", "perturbed_equator",
+                                  "round_sphere"])
+def test_jet_value_slots_are_the_plain_geometry(request, name):
+    # along a family the jets' value slots repeat the plain arithmetic
+    # operation by operation, so the densities they carry are the plain
+    # ones bit for bit
+    im = request.getfixturevalue(name)
+    W, Wd, Wdd = morse.normal_variation_basis(im, 1).triples()
+    P, Pd, Pdd = im.derivatives()
+    plain = surface.pointwise_geometry(P, Pd, Pdd, im.ambient)
+    jets = surface.pointwise_geometry(Jet2(P, W), Jet2(Pd, Wd),
+                                      Jet2(Pdd, Wdd), im.ambient)
+    for key in ("II2", "det", "sqrt_det"):
+        assert np.array_equal(jets[key].a, plain[key])
