@@ -6,16 +6,17 @@ Three independent evaluation routes coexist on purpose:
   area form, normal-hessian pairing for the curvature energy, plus the
   radial-frame correction in the sphere ambient), gathered into per-node
   covectors that any batch of variations is contracted against;
-* exact order-2 jets for second variations (no truncation error, uniform
-  over ambients).  The hessian kernels behind every spectrum take scalar
-  jets of the node densities as functions of the 21 dot products of each
-  node's six vectors (the Gram route, _node_kernels); the vector jets of
-  the pointwise geometry pipeline along whole fields
-  (second_variation_ambient, batched_quadratic) stay as their oracle and
-  serve the Newton diagonal.  Both jet routes run one density algebra
-  (surface._frame_cofactors and surface._ii_norm2) and differ only in how
-  they form the normal pairings: Schur complements of the Gram matrix
-  against dot products of projected vectors;
+* exact derivatives for second variations (no truncation error, uniform
+  over ambients).  The hessian kernels behind every spectrum take the
+  gradient and hessian of the node densities as functions of the 21 dot
+  products of each node's six vectors by a second-order adjoint (the Gram
+  route, _node_kernels); the order-2 vector jets of the pointwise
+  geometry pipeline along whole fields (second_variation_ambient,
+  batched_quadratic) stay as their oracle and serve the Newton diagonal.
+  Both routes run one density algebra (surface._frame_cofactors and
+  surface._ii_norm2) and differ only in how they form the normal
+  pairings: Schur complements of the Gram matrix against dot products of
+  projected vectors;
 * plain path evaluators (energies of the deformed map at finite t, chain
   rule through the radial projection for the constrained path) that feed
   the finite-difference oracles in the tests and the variation-check CLI.
@@ -30,7 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import NotTangent, ShapeMismatch
-from .jets import Jet2, jet_sqrt
+from .jets import Jet2, gradient_hessian, jet_sqrt
 from .surface import (Variation, _frame_cofactors, _ii_norm2,
                       pointwise_geometry)
 
@@ -315,17 +316,17 @@ def _cpu_count():
     return os.cpu_count() or 1
 
 
-def _run_pieces(immersion, total, run, step=None):
+def _run_pieces(immersion, total, run):
     """Call run(lo, hi) over consecutive pieces covering range(total), on
     every CPU.
 
-    Pieces hold step items, by default ceil(min(_IN_FLIGHT, total) /
-    workers) directions, so that about _IN_FLIGHT directions are in flight
-    at once.  The calling thread takes pieces alongside workers - 1 pool
-    threads; leaving it idle behind a pool of workers threads costs one
-    more malloc arena of freed jet temporaries (on 2 CPUs, 4-8 MB more
-    peak RSS for a Clifford torus spectrum and 19 MB for the equator's,
-    measured on the vector-jet kernel pass).  Each piece must write only
+    Pieces hold ceil(min(_IN_FLIGHT, total) / workers) directions, so that
+    about _IN_FLIGHT directions are in flight at once.  The calling thread
+    takes pieces alongside workers - 1 pool threads; leaving it idle
+    behind a pool of workers threads costs one more malloc arena of freed
+    jet temporaries (on 2 CPUs, 4-8 MB more peak RSS for a Clifford torus
+    spectrum and 19 MB for the equator's, measured on the vector-jet
+    kernel pass).  Each piece must write only
     its own slices.  The immersion's lazy caches are filled here, on the
     calling thread, before any piece runs.  If pieces fail, the exception
     of the first of them is re-raised unchanged.
@@ -335,8 +336,7 @@ def _run_pieces(immersion, total, run, step=None):
     immersion.derivatives()
     _ = immersion.geometry
     workers = _cpu_count()
-    if step is None:
-        step = -(-min(_IN_FLIGHT, total) // workers)
+    step = -(-min(_IN_FLIGHT, total) // workers)
     starts = iter(range(0, total, step))
     lock = threading.Lock()
     errors = {}
@@ -399,14 +399,19 @@ def batched_linear(immersion, V, Vd, Vdd, sigma):
 #     K = J^T (d2 phi) J + (D (x) I_Q),    g = J^T (d phi),
 # where D_pq = d phi / d Gamma_pq off the diagonal and twice that on it
 # (along a line, Gamma_pq has second derivative 2 dX_p . dX_q).  The
-# 21 x 21 hessian of phi comes from one scalar jet pass over the 231
-# polarized Gram directions.
+# gradient and 21 x 21 hessian of phi come from jets.gradient_hessian: one
+# forward pass with tangents along the 21 Gram entries and one reverse
+# sweep, for both densities at once.
 
-# nodes per piece of the kernel pass; bounds the memory of the jet arrays
-# and does not change any result
-_NODE_BLOCK = 64
+# nodes per block of the kernel pass; does not change any result.  A
+# block's pass is about 170 values of Python arithmetic, a fixed overhead
+# that larger blocks amortize, until past a few hundred nodes a value's
+# tangent arrays outgrow the cache (equator at degree 16 on a 2-core
+# machine, one thread: 0.12, 0.094, 0.083 and 0.087 s per pass with 64,
+# 128, 256 and 528 nodes)
+_NODE_BLOCK = 256
 
-# the Gram entries (p, q), p <= q, in the order of the jet directions
+# the Gram entries (p, q), p <= q, in the order of the adjoint's inputs
 _GRAM_P, _GRAM_Q = np.triu_indices(6)
 
 
@@ -422,11 +427,11 @@ def _gram_densities(G, frame_size, weights):
     """Per-node (area, f) densities from the Gram matrix of the node vectors.
 
     G[p][q] = X_p . X_q for the node vectors (P, P_u, P_v, P_uu, P_uv,
-    P_vv), as plain values or jets, with G[q][p] the same object.  The
-    density algebra is pointwise_geometry's (surface._frame_cofactors and
-    surface._ii_norm2); only the normal pairings are formed differently,
-    as Schur complements of the Gram matrix instead of dot products of
-    projected vectors:
+    P_vv), as plain values, jets or adjoint values, with G[q][p] the same
+    object.  The density algebra is pointwise_geometry's
+    (surface._frame_cofactors and surface._ii_norm2); only the normal
+    pairings are formed differently, as Schur complements of the Gram
+    matrix instead of dot products of projected vectors:
         N_ab = G_ab - c_a^T cof c_b / det_frame,   c_a = (X_f . X_a),
     with cof and det_frame the cofactors and determinant of the frame's
     Gram matrix and f running over the frame.
@@ -487,15 +492,14 @@ def _node_kernels(immersion):
     Returns (K_area, K_f, g_area, g_f) with K of shape (N, 6Q, 6Q) and g of
     shape (N, 6Q), in the coordinates of node_coordinates.  Each density
     is phi(Gamma) of the node Gram matrix (_gram_densities), evaluated at
-    the node vectors X' = L X of _gram_coordinates.  One scalar jet pass
-    over the 231 Gram directions gives its gradient and hessian, diagonals
-    from e_a and off-diagonals from e_a + e_b by polarization, and
+    the node vectors X' = L X of _gram_coordinates.  A second-order
+    adjoint over the 21 Gram entries (jets.gradient_hessian) gives the
+    gradient and hessian of both densities, the hessian symmetrized, and
         K = J^T d2phi J + (L^T D L) (x) I_Q,    g = J^T dphi,
     with J = J'(L (x) I_Q), pull them back to the node coordinates.  The
-    pass runs in pieces of _NODE_BLOCK nodes, each carrying all 231
-    directions, on every CPU by _run_pieces; a node's kernels do not
-    depend on the piece it is in.  The cost does not depend on any
-    variation basis, and on Q only through the pull-back.
+    pass runs in blocks of _NODE_BLOCK nodes on the calling thread; a
+    node's kernels do not depend on the block it is in.  The cost does not
+    depend on any variation basis, and on Q only through the pull-back.
     """
     Q = immersion.ambient.dim
     n = 6 * Q
@@ -505,48 +509,49 @@ def _node_kernels(immersion):
     X = node_coordinates(*immersion.derivatives()).reshape(N, 6, Q)
     weights = immersion.basis.chart_weights
     entries = np.arange(len(_GRAM_P))
-    ii, jj = np.triu_indices(len(entries))
-    E = np.zeros((len(ii), len(entries)))
-    E[np.arange(len(ii)), ii] = 1.0
-    E[np.arange(len(ii)), jj] = 1.0
-    diag = ii == jj
     kernels = (np.empty((N, n, n)), np.empty((N, n, n)))
     gradients = (np.empty((N, n)), np.empty((N, n)))
 
-    def run(lo, hi):
+    for lo in range(0, N, _NODE_BLOCK):
+        hi = min(N, lo + _NODE_BLOCK)
         Xs, L, scale = _gram_coordinates(X[lo:hi], frame)
         gram = np.sum(Xs[:, :, None, :] * Xs[:, None, :, :], axis=-1)
-        G = [[None] * 6 for _ in range(6)]
-        for k, (p, q) in enumerate(zip(_GRAM_P, _GRAM_Q)):
-            G[p][q] = G[q][p] = Jet2(gram[:, p, q], E[:, k, None])
-        dens = _gram_densities(G, frame_size, weights[lo:hi] * scale)
+        w = weights[lo:hi] * scale
+
+        def densities(entry):
+            G = [[None] * 6 for _ in range(6)]
+            for x, p, q in zip(entry, _GRAM_P, _GRAM_Q):
+                G[p][q] = G[q][p] = x
+            return _gram_densities(G, frame_size, w)
+
+        _, grads, hessians = gradient_hessian(
+            densities, [gram[:, p, q] for p, q in zip(_GRAM_P, _GRAM_Q)])
         # row (p, q) of J' holds X'_q in slot p and X'_p in slot q
         Jp = np.zeros((hi - lo, len(entries), 6, Q))
         Jp[:, entries, _GRAM_Q] = Xs[:, _GRAM_P]
         Jp[:, entries, _GRAM_P] += Xs[:, _GRAM_Q]
-        J = np.einsum("nasq,nst->natq", Jp, L).reshape(hi - lo, -1, n)
+        J = (np.swapaxes(L, 1, 2)[:, None] @ Jp).reshape(hi - lo, -1, n)
         Jt = np.swapaxes(J, 1, 2)
-        for d, K, g in zip(dens, kernels, gradients):
-            c = d.c.T
-            cd = c[:, diag]
-            vals = np.where(diag, c, 0.5 * (c - cd[:, ii] - cd[:, jj]))
-            hess = np.empty((hi - lo, len(entries), len(entries)))
-            hess[:, ii, jj] = vals
-            hess[:, jj, ii] = vals
-            dphi = d.b[diag].T
+        for dphi, h, K, g in zip(grads, hessians, kernels, gradients):
+            dphi = dphi.T
+            h = np.moveaxis(h, -1, 0)
+            hess = 0.5 * (h + np.swapaxes(h, 1, 2))
             D = np.empty((hi - lo, 6, 6))
             D[:, _GRAM_P, _GRAM_Q] = dphi
             D[:, _GRAM_Q, _GRAM_P] = dphi
             D[:, range(6), range(6)] *= 2.0
-            Kb = (Jt @ (hess @ J)).reshape(hi - lo, 6, Q, 6, Q)
-            LDL = np.swapaxes(L, 1, 2) @ D @ L
-            for q in range(Q):
-                Kb[:, :, q, :, q] += LDL
-            K[lo:hi] = Kb.reshape(hi - lo, n, n)
+            K[lo:hi] = Jt @ (hess @ J)
+            _add_kron_identity(K[lo:hi], np.swapaxes(L, 1, 2) @ D @ L)
             g[lo:hi] = (Jt @ dphi[..., None])[..., 0]
-
-    _run_pieces(immersion, N, run, step=_NODE_BLOCK)
     return kernels + gradients
+
+
+def _add_kron_identity(K, r):
+    """K += r (x) I_Q in place, for K (N, 6Q, 6Q) and r (N, 6, 6)."""
+    Q = K.shape[-1] // 6
+    blocks = np.reshape(K, (len(K), 6, Q, 6, Q), copy=False)
+    for q in range(Q):
+        blocks[:, :, q, :, q] += r
 
 
 def _retraction_kernel(P, Pd, Pdd, g):
@@ -555,7 +560,8 @@ def _retraction_kernel(P, Pd, Pdd, g):
     g (N, 6Q) is the node gradient of the density.  The product rule of
     _retraction_curvature_triple, paired with g, gives coefficients on
     s = w_a . w_b and its chart derivatives; each is a bilinear form whose
-    blocks are multiples of the Q x Q identity.
+    blocks are multiples of the Q x Q identity.  Returns those multiples,
+    r of shape (N, 6, 6): the kernel is r (x) I_Q (_add_kron_identity).
     """
     Q = P.shape[-1]
     G = g.reshape(g.shape[:-1] + (6, Q))
@@ -578,8 +584,7 @@ def _retraction_kernel(P, Pd, Pdd, g):
     r = np.zeros(c_s.shape + (6, 6))
     for (p, q), coeff in terms:
         r[..., p, q] += coeff
-    return np.einsum("...pr,qs->...pqrs", r, np.eye(Q)).reshape(
-        c_s.shape + (6 * Q, 6 * Q))
+    return r
 
 
 # ---------------------------------------------------------------------------

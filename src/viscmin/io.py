@@ -87,7 +87,7 @@ def read_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(os.path.basename(path), f"invalid JSON: {exc}")
 
 
@@ -134,13 +134,20 @@ def save_immersion(path, immersion):
 
 def load_immersion(path):
     data = read_json(path)
+    if not isinstance(data, dict):
+        raise ParseError(os.path.basename(path),
+                         "immersion checkpoint must be a JSON object")
     if "topology" not in data and isinstance(data.get("immersion"), dict):
         # continuation stage files nest the checkpoint under "immersion"
         data = data["immersion"]
     for key in ("topology", "ambient", "basis", "coeffs"):
         if key not in data:
             raise ParseError(key, f"immersion checkpoint is missing '{key}'")
-    return SampledImmersion.from_dict(data)
+    try:
+        return SampledImmersion.from_dict(data)
+    except (TypeError, KeyError, ValueError) as exc:
+        raise ParseError(os.path.basename(path),
+                         f"malformed immersion checkpoint: {exc!r}") from exc
 
 
 def save_variation(path, variation):

@@ -148,20 +148,22 @@ def sigma_pencil(immersion, basis):
     Returns (H_area, H_F, G, grad_area, grad_F): at this immersion the
     constrained A^sigma hessian is exactly H_area + sigma^2 H_F and the
     gradient grad_area + sigma^2 grad_F, for every sigma; G is the L2 Gram
-    matrix.  One energy._node_kernels pass serves all of it: scalar jets
-    of each node density over the 231 directions of its node Gram
-    matrix, pulled back to the node coordinates.  The retraction form is
-    linear in the node gradient, so in the sphere ambient each part's
-    kernel gains its own retraction term, and the gradient is read off
-    the node gradient, grad_a = sum_n g_n . y_a(n).  The pass runs in
-    fixed blocks of nodes on every CPU, and the pencil is bit-identical
-    for any CPU count.
+    matrix.  One energy._node_kernels pass serves all of it: the gradient
+    and hessian of each node density in the 21 entries of its node Gram
+    matrix, by a second-order adjoint, pulled back to the node
+    coordinates.  The retraction form is linear in the node gradient, so
+    in the sphere ambient each part's kernel gains its own retraction
+    term, added in place to its Q diagonal blocks, and the gradient is
+    read off the node gradient, grad_a = sum_n g_n . y_a(n).  The pass
+    runs in fixed blocks of nodes, and the pencil is bit-identical for
+    any block size and CPU count.
     """
     K_area, K_f, g_area, g_f = energy._node_kernels(immersion)
     if immersion.ambient.kind == "sphere":
         P = immersion.derivatives()
-        K_area += energy._retraction_kernel(*P, g_area)
-        K_f += energy._retraction_kernel(*P, g_f)
+        energy._add_kron_identity(K_area,
+                                  energy._retraction_kernel(*P, g_area))
+        energy._add_kron_identity(K_f, energy._retraction_kernel(*P, g_f))
     Y = energy.node_coordinates(*basis.triples())
     H_area, H_f = (np.einsum("anp,npq,bnq->ab", Y, K, Y, optimize=True)
                    for K in (K_area, K_f))

@@ -9,7 +9,8 @@ same code produces plain values (arrays in) and first/second variations
 along a family (jets in).  Its jets serve the second variations along
 whole fields (energy.second_variation_ambient and batched_quadratic, the
 Newton diagonal), which are the oracle of the hessian kernels; those
-kernels take their jets in Gram coordinates instead (energy._node_kernels).
+kernels take a second-order adjoint in Gram coordinates instead
+(energy._node_kernels).
 
 The node density algebra is written once, for both routes: the cofactors
 and determinant of the frame's Gram matrix (_frame_cofactors) and the

@@ -197,7 +197,8 @@ def _vector_jet_kernels(im, in_flight=24):
 
 
 @pytest.mark.parametrize("name", ["perturbed_equator", "round_sphere",
-                                  "perturbed_clifford", "clifford_r4"])
+                                  "perturbed_clifford", "clifford_r4",
+                                  "equator", "clifford"])
 def test_gram_kernels_match_vector_jets_per_node(request, name):
     # the Gram route against the jets of pointwise_geometry, node by node;
     # next to the poles of the sphere chart the Gram route keeps these

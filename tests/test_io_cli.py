@@ -309,6 +309,23 @@ def test_cli_bad_seed_is_parse_error(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("content", [
+    b"[1, 2]",
+    b'{"topology": 5, "ambient": 1, "basis": 2, "coeffs": 3}',
+    b"\xff\xfe{"])
+def test_cli_malformed_checkpoint_is_parse_error(tmp_path, capsys, content):
+    # a top-level array, wrongly typed fields and non-UTF-8 bytes
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    out = tmp_path / "out.json"
+    code = cli.main(["energy", "--input", str(path), "--output", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert err["field"] == "in.json"
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("bad, field", [({"resolution": "abc"}, "resolution"),
                                         ({"start": 5}, "start"),
                                         ({"start": ["clifford_torus"]},
