@@ -135,8 +135,9 @@ def solve_critical_point(immersion, sigma, newton_tol=NEWTON_TOL,
     synthesizes its mode family once (VariationBasis.triples), takes the
     gradient from one contraction against the node covectors of the first
     variation (basis_gradient) and decides every exit on it; the diagonal
-    pass (hessian_diagonal) runs only when a step is taken, so a start
-    that is already critical costs no jet pass at all.  The update reads
+    (hessian_diagonal, one kernel pass contracted block by block) runs
+    only when a step is taken, so a start that is already critical costs
+    no kernel pass at all.  The update reads
     the mode samples from the same synthesis.
 
     Returns a dict with the final immersion, grad_norm, iterations,

@@ -10,9 +10,10 @@ Three independent evaluation routes coexist on purpose:
   over ambients).  The hessian kernels behind every spectrum take the
   gradient and hessian of the node densities as functions of the 21 dot
   products of each node's six vectors by a second-order adjoint (the Gram
-  route, _node_kernels); the order-2 vector jets of the pointwise
-  geometry pipeline along whole fields (second_variation_ambient,
-  batched_quadratic) stay as their oracle and serve the Newton diagonal.
+  route, _node_kernels, block by block in _node_kernel_blocks, which the
+  Newton diagonal contracts as it goes); the order-2 vector jets of the
+  pointwise geometry pipeline along whole fields
+  (second_variation_ambient, batched_quadratic) stay as their oracle.
   Both routes run one density algebra (surface._frame_cofactors and
   surface._ii_norm2) and differ only in how they form the normal
   pairings: Schur complements of the Gram matrix against dot products of
@@ -23,10 +24,6 @@ Three independent evaluation routes coexist on purpose:
 
 Cross-checking these against each other is what the test suite does.
 """
-
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -303,66 +300,6 @@ def second_variation_constrained(immersion, w, w_other=None, sigma=0.0,
 # batched forms for hessian assembly
 # ---------------------------------------------------------------------------
 
-# jet directions in flight per diagonal pass (batched_quadratic over a
-# family), split over the workers; bounds the memory of the jet arrays and
-# does not change any result
-_IN_FLIGHT = 64
-
-
-def _cpu_count():
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_pieces(immersion, total, run):
-    """Call run(lo, hi) over consecutive pieces covering range(total), on
-    every CPU.
-
-    Pieces hold ceil(min(_IN_FLIGHT, total) / workers) directions, so that
-    about _IN_FLIGHT directions are in flight at once.  The calling thread
-    takes pieces alongside workers - 1 pool threads; leaving it idle
-    behind a pool of workers threads costs one more malloc arena of freed
-    jet temporaries (on 2 CPUs, 4-8 MB more peak RSS for a Clifford torus
-    spectrum and 19 MB for the equator's, measured on the vector-jet
-    kernel pass).  Each piece must write only
-    its own slices.  The immersion's lazy caches are filled here, on the
-    calling thread, before any piece runs.  If pieces fail, the exception
-    of the first of them is re-raised unchanged.
-    """
-    if total == 0:
-        return
-    immersion.derivatives()
-    _ = immersion.geometry
-    workers = _cpu_count()
-    step = -(-min(_IN_FLIGHT, total) // workers)
-    starts = iter(range(0, total, step))
-    lock = threading.Lock()
-    errors = {}
-
-    def drain():
-        while True:
-            with lock:
-                lo = None if errors else next(starts, None)
-            if lo is None:
-                return
-            try:
-                run(lo, min(total, lo + step))
-            except BaseException as exc:
-                with lock:
-                    errors[lo] = exc
-                return
-
-    with ThreadPoolExecutor(workers) as pool:
-        helpers = [pool.submit(drain) for _ in range(workers - 1)]
-        drain()
-    for future in helpers:
-        future.result()
-    if errors:
-        raise errors[min(errors)]
-
-
 def batched_quadratic(immersion, W, Wd, Wdd, sigma):
     """d2 A^sigma (ambient, diagonal) for a batch of variation triples.
 
@@ -486,19 +423,21 @@ def _gram_coordinates(X, frame):
     return Xs * s[..., None], L * s[..., None], np.ldexp(1.0, a + b)
 
 
-def _node_kernels(immersion):
-    """Node hessians and gradients of the area and F densities.
+def _node_kernel_blocks(immersion):
+    """Node hessians and gradients of the area and F densities, block by
+    block.
 
-    Returns (K_area, K_f, g_area, g_f) with K of shape (N, 6Q, 6Q) and g of
-    shape (N, 6Q), in the coordinates of node_coordinates.  Each density
+    Yields (lo, hi, K_area, K_f, g_area, g_f) for consecutive blocks of
+    _NODE_BLOCK nodes, with K of shape (hi - lo, 6Q, 6Q) and g of shape
+    (hi - lo, 6Q), in the coordinates of node_coordinates.  Each density
     is phi(Gamma) of the node Gram matrix (_gram_densities), evaluated at
     the node vectors X' = L X of _gram_coordinates.  A second-order
     adjoint over the 21 Gram entries (jets.gradient_hessian) gives the
     gradient and hessian of both densities, the hessian symmetrized, and
         K = J^T d2phi J + (L^T D L) (x) I_Q,    g = J^T dphi,
     with J = J'(L (x) I_Q), pull them back to the node coordinates.  The
-    pass runs in blocks of _NODE_BLOCK nodes on the calling thread; a
-    node's kernels do not depend on the block it is in.  The cost does not
+    arrays are fresh for each block and belong to the caller; a node's
+    kernels do not depend on the block it is in.  The cost does not
     depend on any variation basis, and on Q only through the pull-back.
     """
     Q = immersion.ambient.dim
@@ -509,8 +448,6 @@ def _node_kernels(immersion):
     X = node_coordinates(*immersion.derivatives()).reshape(N, 6, Q)
     weights = immersion.basis.chart_weights
     entries = np.arange(len(_GRAM_P))
-    kernels = (np.empty((N, n, n)), np.empty((N, n, n)))
-    gradients = (np.empty((N, n)), np.empty((N, n)))
 
     for lo in range(0, N, _NODE_BLOCK):
         hi = min(N, lo + _NODE_BLOCK)
@@ -532,7 +469,8 @@ def _node_kernels(immersion):
         Jp[:, entries, _GRAM_P] += Xs[:, _GRAM_Q]
         J = (np.swapaxes(L, 1, 2)[:, None] @ Jp).reshape(hi - lo, -1, n)
         Jt = np.swapaxes(J, 1, 2)
-        for dphi, h, K, g in zip(grads, hessians, kernels, gradients):
+        kernels, gradients = [], []
+        for dphi, h in zip(grads, hessians):
             dphi = dphi.T
             h = np.moveaxis(h, -1, 0)
             hess = 0.5 * (h + np.swapaxes(h, 1, 2))
@@ -540,9 +478,24 @@ def _node_kernels(immersion):
             D[:, _GRAM_P, _GRAM_Q] = dphi
             D[:, _GRAM_Q, _GRAM_P] = dphi
             D[:, range(6), range(6)] *= 2.0
-            K[lo:hi] = Jt @ (hess @ J)
-            _add_kron_identity(K[lo:hi], np.swapaxes(L, 1, 2) @ D @ L)
-            g[lo:hi] = (Jt @ dphi[..., None])[..., 0]
+            K = Jt @ (hess @ J)
+            _add_kron_identity(K, np.swapaxes(L, 1, 2) @ D @ L)
+            kernels.append(K)
+            gradients.append((Jt @ dphi[..., None])[..., 0])
+        yield (lo, hi, *kernels, *gradients)
+
+
+def _node_kernels(immersion):
+    """Node hessians and gradients of the area and F densities over every
+    node: (K_area, K_f, g_area, g_f), the blocks of _node_kernel_blocks
+    stacked, K of shape (N, 6Q, 6Q) and g of shape (N, 6Q)."""
+    n = 6 * immersion.ambient.dim
+    N = immersion.basis.num_nodes
+    kernels = (np.empty((N, n, n)), np.empty((N, n, n)))
+    gradients = (np.empty((N, n)), np.empty((N, n)))
+    for lo, hi, *block in _node_kernel_blocks(immersion):
+        for whole, part in zip(kernels + gradients, block):
+            whole[lo:hi] = part
     return kernels + gradients
 
 

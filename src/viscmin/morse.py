@@ -11,7 +11,8 @@ in Gram coordinates, with the retraction-curvature first-variation term
 folded in), so one pencil serves every sigma.  The index/nullity come
 from the generalized symmetric eigenproblem against the L2 Gram matrix.
 A basis fits and synthesizes its whole family in one pass each and keeps
-the triples.  The gradient contraction and the per-field diagonal pass
+the triples.  The gradient contraction and the diagonal, contracted
+block by block from the same kernel pass without holding its arrays,
 serve only the critical point solver.
 """
 
@@ -217,29 +218,33 @@ def basis_gradient(immersion, basis, sigma):
 def hessian_diagonal(immersion, basis, sigma):
     """Diagonal of the constrained hessian, no off-diagonal.
 
-    One jet pass per basis field, in pieces on every CPU with a bounded
-    number in flight, so this scales to full-band bases where the dense
-    assembly would not; the critical point solver's Newton denominators.
-    In the sphere ambient the retraction term is the first variation
-    (energy.batched_linear) of each field's retraction curvature.  The
-    results are bit-identical for any CPU count.
+    The diagonal H_aa = sum_n y_a(n)^T K_n y_a(n) of the assembly,
+    contracted block by block from the node kernels of
+    energy._node_kernel_blocks with K = K_area + sigma^2 K_f (and, in the
+    sphere ambient, the retraction kernel of the node gradient
+    g_area + sigma^2 g_f), so that no (N, 6Q, 6Q) array is ever held and
+    the cost is one kernel pass plus one node-wise quadratic form per
+    field; this scales to full-band bases where the dense assembly would
+    not.  The critical point solver's Newton denominators.  Each node's
+    terms are summed over the nodes at the end, so the diagonal is
+    bit-identical for any block size.
     """
     W, Wd, Wdd = basis.triples()
+    s2 = sigma ** 2
     sphere = immersion.ambient.kind == "sphere"
     P, Pd, Pdd = immersion.derivatives()
-    diag = np.empty(len(basis))
-
-    def run(lo, hi):
-        field = (W[lo:hi], Wd[lo:hi], Wdd[lo:hi])
-        q, _ = energy.batched_quadratic(immersion, *field, sigma)
+    per_node = np.empty(W.shape[:2])
+    for lo, hi, K, K_f, g, g_f in energy._node_kernel_blocks(immersion):
+        K += s2 * K_f
         if sphere:
-            V, Vd, Vdd = energy._retraction_curvature_triple(
-                P, Pd, Pdd, *field, *field)
-            q = q + energy.batched_linear(immersion, V, Vd, Vdd, sigma)
-        diag[lo:hi] = q
-
-    energy._run_pieces(immersion, len(basis), run)
-    return diag
+            g += s2 * g_f
+            energy._add_kron_identity(K, energy._retraction_kernel(
+                P[lo:hi], Pd[lo:hi], Pdd[lo:hi], g))
+        # (nodes, fields, 6Q): one small matrix product per node
+        Y = np.swapaxes(energy.node_coordinates(
+            W[:, lo:hi], Wd[:, lo:hi], Wdd[:, lo:hi]), 0, 1)
+        per_node[:, lo:hi] = np.sum((Y @ K) * Y, axis=-1).T
+    return per_node.sum(axis=1)
 
 
 class SpectrumReport:

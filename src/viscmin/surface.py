@@ -7,10 +7,9 @@ are computed per collocation node by one shared pipeline. The pipeline is
 written against the small arithmetic protocol of jets.Jet2, so the exact
 same code produces plain values (arrays in) and first/second variations
 along a family (jets in).  Its jets serve the second variations along
-whole fields (energy.second_variation_ambient and batched_quadratic, the
-Newton diagonal), which are the oracle of the hessian kernels; those
-kernels take a second-order adjoint in Gram coordinates instead
-(energy._node_kernels).
+whole fields (energy.second_variation_ambient and batched_quadratic),
+which are the oracle of the hessian kernels; those kernels take a
+second-order adjoint in Gram coordinates instead (energy._node_kernels).
 
 The node density algebra is written once, for both routes: the cofactors
 and determinant of the frame's Gram matrix (_frame_cofactors) and the
@@ -206,7 +205,6 @@ class GeometryData:
 
     def __init__(self, immersion):
         im = immersion
-        self.immersion = im
         self.ambient = im.ambient
         self.points = im.basis.grid_points
         self.chart_weights = im.basis.chart_weights

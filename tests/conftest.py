@@ -33,3 +33,8 @@ def perturbed_clifford():
 @pytest.fixture(scope="session")
 def perturbed_equator():
     return surface.make_preset("perturbed_equator", resolution=16)
+
+
+@pytest.fixture(scope="session")
+def perturbed_clifford_r4():
+    return surface.make_preset("perturbed_clifford_in_r4", resolution=16)

@@ -260,7 +260,7 @@ def test_newton_diagonal_pass_once_per_step(monkeypatch, clifford):
 def test_newton_synthesizes_each_basis_once(monkeypatch):
     # one batched synthesis of the variation basis per iteration and no
     # per-field synthesis; the gradient is one contraction, so the only
-    # pooled passes are the diagonal passes of the steps taken
+    # kernel passes are the diagonal passes of the steps taken
     families = []
     chart_derivatives = surface._chart_derivatives
 
@@ -271,10 +271,10 @@ def test_newton_synthesizes_each_basis_once(monkeypatch):
 
     monkeypatch.setattr(surface, "_chart_derivatives", counted)
     fields = _counted(monkeypatch, surface.Variation, "derivatives")
-    pieces = _counted(monkeypatch, energy, "_run_pieces")
+    passes = _counted(monkeypatch, energy, "_node_kernel_blocks")
     im = surface.make_preset("perturbed_equator", resolution=8)
     out = continuation.solve_critical_point(im, 0.5, cutoff=4)
     assert out["iterations"] > 0
     assert families == [25] * (out["iterations"] + 1)
     assert fields == []
-    assert len(pieces) == out["iterations"]
+    assert len(passes) == out["iterations"]

@@ -142,11 +142,12 @@ def test_cli_spectrum_summary(tmp_path, capsys):
 
 
 def test_cli_spectrum_thread_count_invariant(tmp_path, monkeypatch):
+    # no pass starts a thread; the kernel pass splits its nodes into
+    # blocks, and the bytes must not depend on the split
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    monkeypatch.setattr(energy, "_cpu_count", lambda: 1)
     assert cli.main(["spectrum", "--input", "equator_s2_in_s3",
                      "--basis-cutoff", "2", "--output", a]) == 0
-    monkeypatch.setattr(energy, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(energy, "_NODE_BLOCK", 7)
     assert cli.main(["spectrum", "--input", "equator_s2_in_s3",
                      "--basis-cutoff", "2", "--output", b]) == 0
     assert open(a).read() == open(b).read()

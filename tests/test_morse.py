@@ -1,12 +1,10 @@
-import sys
-
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
 from viscmin import energy, morse, surface
-from viscmin.errors import GramNotSPD, NoConvergence, NonCriticalWarning
+from viscmin.errors import GramNotSPD, NonCriticalWarning
 from viscmin.fourier import FourierBasis
 from viscmin.sphharm import SphHarmBasis
 
@@ -61,8 +59,8 @@ def test_hessian_diagonal_consistent(clifford):
                                              warn_critical=False)
     diag = morse.hessian_diagonal(clifford, basis, 0.1)
     gram_diag, grad = morse.basis_gradient(clifford, basis, 0.1)
-    # two routes to the diagonal: one jet pass per field, and the kernel
-    # contraction (retraction form folded in) that H comes from
+    # two contractions of the node kernels (retraction form folded in):
+    # block by block per field, and the dense assembly that H comes from
     ref = np.diag(H)
     assert np.max(np.abs(diag - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert_allclose(gram_diag, np.diag(G), rtol=0, atol=0)
@@ -362,51 +360,50 @@ def test_low_spectrum_stable_under_grid_refinement(request, fixture):
 
 @pytest.mark.parametrize("fixture", ["perturbed_clifford", "perturbed_equator"])
 def test_jet_passes_independent_of_cpu_count(request, monkeypatch, fixture):
-    # the passes split their directions over every CPU; the pieces write
-    # disjoint slices of arrays that start uninitialized, so a lost or
-    # misplaced piece would change bits.  Three workers on fewer cores with
-    # a short switch interval interleave the pieces as much as possible
+    # no pass starts a thread, so the CPU count reaches no result; what
+    # splits the work is the node block of the kernel pass, and every
+    # consumer of it must come out the same bits for any block size
     im = request.getfixturevalue(fixture)
     basis = morse.normal_variation_basis(im, 1)
 
-    def passes(cpus, in_flight):
-        monkeypatch.setattr(energy, "_cpu_count", lambda: cpus)
-        monkeypatch.setattr(energy, "_IN_FLIGHT", in_flight)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            pencil = morse.sigma_pencil(im, basis)
-            H, G, grad_norm = morse.assemble_hessian(
-                im, basis, 0.3, warn_critical=False)
-            diag = morse.hessian_diagonal(im, basis, 0.3)
-            gradient = morse.basis_gradient(im, basis, 0.3)
-        finally:
-            sys.setswitchinterval(interval)
+    def passes(block):
+        monkeypatch.setattr(energy, "_NODE_BLOCK", block)
+        pencil = morse.sigma_pencil(im, basis)
+        H, G, grad_norm = morse.assemble_hessian(
+            im, basis, 0.3, warn_critical=False)
+        diag = morse.hessian_diagonal(im, basis, 0.3)
+        gradient = morse.basis_gradient(im, basis, 0.3)
         return pencil + (H, G, np.array(grad_norm), diag) + gradient
 
-    ref = passes(1, 64)
-    for cpus, in_flight in [(1, 7), (3, 7), (3, 64)]:
-        for a, b in zip(ref, passes(cpus, in_flight)):
+    ref = passes(256)
+    for block in (7, 64):
+        for a, b in zip(ref, passes(block)):
             assert a.tobytes() == b.tobytes()
 
 
-def test_jet_pass_error_in_later_piece_reaches_caller(monkeypatch,
-                                                      perturbed_clifford):
-    im = perturbed_clifford
-    basis = morse.normal_variation_basis(im, 1)
-    first = basis.triples()[0][0]
-    quadratic = energy.batched_quadratic
-
-    def failing(immersion, W, Wd, Wdd, sigma):
-        if not np.array_equal(W[0], first):
-            raise NoConvergence("planted failure")
-        return quadratic(immersion, W, Wd, Wdd, sigma)
-
-    monkeypatch.setattr(energy, "_cpu_count", lambda: 3)
-    monkeypatch.setattr(energy, "batched_quadratic", failing)
-    with pytest.raises(NoConvergence, match="planted failure") as info:
-        morse.hessian_diagonal(im, basis, 0.3)
-    assert type(info.value) is NoConvergence
+@pytest.mark.parametrize("fixture", ["perturbed_equator",
+                                     "perturbed_clifford_r4"])
+def test_hessian_diagonal_matches_assembly_off_critical(request, fixture):
+    # away from a critical point, in the sphere ambient (retraction term)
+    # and in flat space: the block-wise diagonal against the dense
+    # assembly's, and against the vector-jet route, one order-2 jet pass
+    # over the fields plus the first variation of their retraction
+    # curvatures
+    im = request.getfixturevalue(fixture)
+    basis = morse.normal_variation_basis(im, 2)
+    sigma = 0.3
+    diag = morse.hessian_diagonal(im, basis, sigma)
+    H, _, grad_norm = morse.assemble_hessian(im, basis, sigma,
+                                             warn_critical=False)
+    assert grad_norm > 1e-3
+    triple = basis.triples()
+    jets, _ = energy.batched_quadratic(im, *triple, sigma)
+    if im.ambient.kind == "sphere":
+        V = energy._retraction_curvature_triple(*im.derivatives(), *triple,
+                                                *triple)
+        jets = jets + energy.batched_linear(im, *V, sigma)
+    for ref in (np.diag(H), jets):
+        assert np.max(np.abs(diag - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("fixture", ["perturbed_clifford", "perturbed_equator"])
@@ -441,17 +438,16 @@ def test_batched_triples_match_per_field_synthesis(request, fixture):
 @pytest.mark.parametrize("fixture", ["perturbed_clifford", "perturbed_equator"])
 def test_sigma_pencil_independent_of_node_blocks(request, monkeypatch,
                                                  fixture):
-    # the kernel pass runs in pieces of nodes on every CPU; a node's
-    # kernels must not depend on the piece it lands in, nor on the thread
+    # the kernel pass runs in blocks of nodes; a node's kernels must not
+    # depend on the block it lands in
     im = request.getfixturevalue(fixture)
     basis = morse.normal_variation_basis(im, 1)
 
-    def pencil(block, cpus):
+    def pencil(block):
         monkeypatch.setattr(energy, "_NODE_BLOCK", block)
-        monkeypatch.setattr(energy, "_cpu_count", lambda: cpus)
         return morse.sigma_pencil(im, basis)
 
-    ref = pencil(energy._NODE_BLOCK, 1)
-    for block, cpus in [(1, 1), (7, 3), (45, 2), (im.basis.num_nodes, 3)]:
-        for a, b in zip(ref, pencil(block, cpus)):
+    ref = pencil(energy._NODE_BLOCK)
+    for block in [1, 7, 45, im.basis.num_nodes]:
+        for a, b in zip(ref, pencil(block)):
             assert a.tobytes() == b.tobytes()

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -179,3 +182,22 @@ def test_jet_value_slots_are_the_plain_geometry(request, name):
                                       Jet2(Pdd, Wdd), im.ambient)
     for key in ("II2", "det", "sqrt_det"):
         assert np.array_equal(jets[key].a, plain[key])
+
+
+def test_immersion_freed_without_the_cycle_collector():
+    # the geometry is cached on its immersion and must not point back at
+    # it, or every immersion a Newton iteration drops waits for the cycle
+    # collector
+    base = surface.make_preset("perturbed_equator", resolution=8)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        im = surface.SampledImmersion.from_samples(
+            base.ambient, base.topology, base.basis, base.samples())
+        assert im.geometry.dvol.shape == (base.basis.num_nodes,)
+        ref = weakref.ref(im)
+        del im
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
