@@ -11,8 +11,8 @@ import sys
 
 # pin BLAS before numpy first loads so eigensolves are single-threaded
 # and bit-stable (library users importing viscmin directly are
-# unaffected).  The jet passes run on every CPU in the affinity mask
-# without changing the arithmetic, so no output depends on the CPU count
+# unaffected).  No pass starts a thread of its own, so with BLAS pinned no
+# output depends on the CPU count
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
@@ -30,30 +30,20 @@ _REQUIRED = object()
 
 
 def _float_pos(field):
-    def cast(v):
-        x = float(v)
-        if x <= 0.0:
-            raise OutOfRange(field, f"must be positive, got {x}")
-        return x
-    return cast
+    return lambda v: continuation._positive(field, v)
 
 
 def _float_nonneg(field):
     def cast(v):
         x = float(v)
-        if x < 0.0:
-            raise OutOfRange(field, f"must be nonnegative, got {x}")
+        if not 0.0 <= x < np.inf:
+            raise OutOfRange(field, f"must be finite and >= 0, got {x}")
         return x
     return cast
 
 
 def _int_pos(field):
-    def cast(v):
-        x = int(v)
-        if x <= 0:
-            raise OutOfRange(field, f"must be positive, got {x}")
-        return x
-    return cast
+    return lambda v: continuation._at_least(field, v, 1)
 
 
 def _centers(field):
@@ -99,7 +89,7 @@ def _cast(key, caster, value):
         return caster(value)
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(key, f"cannot parse {key}={value!r}: {exc}")
 
 
@@ -304,7 +294,7 @@ def _cmd_continue(cfg):
         raise UnknownKey(bad[0], f"unknown continuation keys: {bad}")
     try:
         ccfg = continuation.ContinuationConfig(**raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError("config", f"cannot parse continuation config: {exc}")
     out_dir = cfg["output"]
     os.makedirs(out_dir, exist_ok=True)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .energy import evaluate_energies, second_variation_constrained
 from .errors import BadDelta, EmptyTail, OutOfRange, ShapeMismatch
-from .morse import (basis_gradient, hessian_diagonal, normal_variation_basis,
-                    pencil_spectrum, sigma_pencil)
+from .morse import (_grad_norm, basis_gradient, hessian_diagonal,
+                    normal_variation_basis, pencil_spectrum, sigma_pencil)
 # not called here; bench/spans.py looks jacobi_spectrum up in this module
 from .morse import jacobi_spectrum  # noqa: F401
 from .surface import SampledImmersion, Variation
@@ -42,27 +42,42 @@ def entropy_product(sigma, f_energy):
     return sigma ** 2 * f_energy * np.log(1.0 / sigma)
 
 
+def _positive(field, value):
+    """value as a positive, finite float, or OutOfRange on field."""
+    x = float(value)
+    if not 0.0 < x < np.inf:
+        raise OutOfRange(field, f"must be positive and finite, got {x}")
+    return x
+
+
+def _at_least(field, value, low):
+    """value as an int >= low, or OutOfRange on field."""
+    x = int(value)
+    if x < low:
+        raise OutOfRange(field, f"must be at least {low}, got {x}")
+    return x
+
+
 class ContinuationConfig:
-    """Parameters of a continuation run."""
+    """Parameters of a continuation run; OutOfRange names a bad value."""
 
     def __init__(self, sigma_schedule=None, newton_tol=NEWTON_TOL,
                  max_newton=MAX_NEWTON, newton_cutoff=4, spectrum_cutoff=4,
                  eps_neg=None, seed=0):
         if sigma_schedule is None:
             sigma_schedule = default_schedule()
-        self.sigma_schedule = [float(s) for s in sigma_schedule]
+        self.sigma_schedule = [_positive("sigma_schedule", s)
+                               for s in sigma_schedule]
         for a, b in zip(self.sigma_schedule, self.sigma_schedule[1:]):
             if not b < a:
                 raise OutOfRange("sigma_schedule",
                                  "schedule must be strictly decreasing")
-        if self.sigma_schedule and self.sigma_schedule[-1] <= 0.0:
-            raise OutOfRange("sigma_schedule",
-                             "schedule entries must be positive")
-        self.newton_tol = float(newton_tol)
-        self.max_newton = int(max_newton)
-        self.newton_cutoff = int(newton_cutoff)
-        self.spectrum_cutoff = int(spectrum_cutoff)
-        self.eps_neg = None if eps_neg is None else float(eps_neg)
+        self.newton_tol = _positive("newton_tol", newton_tol)
+        self.max_newton = _at_least("max_newton", max_newton, 0)
+        self.newton_cutoff = _at_least("newton_cutoff", newton_cutoff, 1)
+        self.spectrum_cutoff = _at_least("spectrum_cutoff", spectrum_cutoff, 1)
+        self.eps_neg = (None if eps_neg is None
+                        else _positive("eps_neg", eps_neg))
         self.seed = int(seed)
 
     def to_dict(self):
@@ -154,7 +169,7 @@ def solve_critical_point(immersion, sigma, newton_tol=NEWTON_TOL,
     for it in range(max_newton + 1):
         basis = normal_variation_basis(im, cutoff)
         gram_diag, g = basis_gradient(im, basis, sigma)
-        grad_norm = float(np.max(np.abs(g) / np.sqrt(gram_diag)))
+        grad_norm = _grad_norm(g, gram_diag)
         history.append(grad_norm)
         if initial_grad is None:
             initial_grad = grad_norm

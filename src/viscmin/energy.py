@@ -9,9 +9,10 @@ Three independent evaluation routes coexist on purpose:
 * exact derivatives for second variations (no truncation error, uniform
   over ambients).  The hessian kernels behind every spectrum take the
   gradient and hessian of the node densities as functions of the 21 dot
-  products of each node's six vectors by a second-order adjoint (the Gram
-  route, _node_kernels, block by block in _node_kernel_blocks, which the
-  Newton diagonal contracts as it goes); the order-2 vector jets of the
+  products of each node's six vectors by a second-order adjoint, plus the
+  retraction form in the sphere ambient (the Gram route, _node_kernels,
+  block by block in _node_kernel_blocks, which the Newton diagonal
+  contracts as it goes); the order-2 vector jets of the
   pointwise geometry pipeline along whole fields
   (second_variation_ambient, batched_quadratic) stay as their oracle.
   Both routes run one density algebra (surface._frame_cofactors and
@@ -424,8 +425,8 @@ def _gram_coordinates(X, frame):
 
 
 def _node_kernel_blocks(immersion):
-    """Node hessians and gradients of the area and F densities, block by
-    block.
+    """Constrained node hessians and gradients of the area and F densities,
+    block by block.
 
     Yields (lo, hi, K_area, K_f, g_area, g_f) for consecutive blocks of
     _NODE_BLOCK nodes, with K of shape (hi - lo, 6Q, 6Q) and g of shape
@@ -434,8 +435,10 @@ def _node_kernel_blocks(immersion):
     the node vectors X' = L X of _gram_coordinates.  A second-order
     adjoint over the 21 Gram entries (jets.gradient_hessian) gives the
     gradient and hessian of both densities, the hessian symmetrized, and
-        K = J^T d2phi J + (L^T D L) (x) I_Q,    g = J^T dphi,
-    with J = J'(L (x) I_Q), pull them back to the node coordinates.  The
+        K = J^T d2phi J + (L^T D L + r) (x) I_Q,    g = J^T dphi,
+    with J = J'(L (x) I_Q), pull them back to the node coordinates; r is
+    the retraction form of g (_retraction_kernel) in the sphere ambient
+    and 0 elsewhere, so K is the kernel of the constrained hessian.  The
     arrays are fresh for each block and belong to the caller; a node's
     kernels do not depend on the block it is in.  The cost does not
     depend on any variation basis, and on Q only through the pull-back.
@@ -443,6 +446,7 @@ def _node_kernel_blocks(immersion):
     Q = immersion.ambient.dim
     n = 6 * Q
     N = immersion.basis.num_nodes
+    sphere = immersion.ambient.kind == "sphere"
     frame_size = immersion.ambient.frame_size
     frame = [1, 2, 0][:frame_size]
     X = node_coordinates(*immersion.derivatives()).reshape(N, 6, Q)
@@ -479,16 +483,20 @@ def _node_kernel_blocks(immersion):
             D[:, _GRAM_Q, _GRAM_P] = dphi
             D[:, range(6), range(6)] *= 2.0
             K = Jt @ (hess @ J)
-            _add_kron_identity(K, np.swapaxes(L, 1, 2) @ D @ L)
+            g = (Jt @ dphi[..., None])[..., 0]
+            r = np.swapaxes(L, 1, 2) @ D @ L
+            if sphere:
+                r += _retraction_kernel(X[lo:hi], g)
+            _add_kron_identity(K, r)
             kernels.append(K)
-            gradients.append((Jt @ dphi[..., None])[..., 0])
+            gradients.append(g)
         yield (lo, hi, *kernels, *gradients)
 
 
 def _node_kernels(immersion):
-    """Node hessians and gradients of the area and F densities over every
-    node: (K_area, K_f, g_area, g_f), the blocks of _node_kernel_blocks
-    stacked, K of shape (N, 6Q, 6Q) and g of shape (N, 6Q)."""
+    """Constrained node hessians and gradients of the area and F densities
+    over every node: (K_area, K_f, g_area, g_f), the blocks of
+    _node_kernel_blocks stacked, K (N, 6Q, 6Q) and g (N, 6Q)."""
     n = 6 * immersion.ambient.dim
     N = immersion.basis.num_nodes
     kernels = (np.empty((N, n, n)), np.empty((N, n, n)))
@@ -507,23 +515,22 @@ def _add_kron_identity(K, r):
         blocks[:, :, q, :, q] += r
 
 
-def _retraction_kernel(P, Pd, Pdd, g):
+def _retraction_kernel(X, g):
     """Node kernel of the bilinear form (w_a, w_b) -> DA(-(w_a . w_b) Phi).
 
-    g (N, 6Q) is the node gradient of the density.  The product rule of
+    X (N, 6, Q) and g (N, 6Q) are the node vectors of Phi and the node
+    gradient of the density.  The product rule of
     _retraction_curvature_triple, paired with g, gives coefficients on
     s = w_a . w_b and its chart derivatives; each is a bilinear form whose
     blocks are multiples of the Q x Q identity.  Returns those multiples,
     r of shape (N, 6, 6): the kernel is r (x) I_Q (_add_kron_identity).
     """
-    Q = P.shape[-1]
-    G = g.reshape(g.shape[:-1] + (6, Q))
-    X = node_coordinates(P, Pd, Pdd).reshape(G.shape)
+    G = g.reshape(X.shape)
 
     def dot(slot, y):
         return np.einsum("...q,...q->...", G[..., slot, :], y)
 
-    P_u, P_v = X[..., 1, :], X[..., 2, :]
+    P, P_u, P_v = X[..., 0, :], X[..., 1, :], X[..., 2, :]
     c_s = -np.einsum("...sq,...sq->...", G, X)
     c_u = -(dot(1, P) + 2.0 * dot(3, P_u) + dot(4, P_v))
     c_v = -(dot(2, P) + dot(4, P_u) + 2.0 * dot(5, P_v))

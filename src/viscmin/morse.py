@@ -6,7 +6,7 @@ frame fields (plus, optionally, tangential reparametrization fields, which
 sit in the radical of the hessian at critical points). At a fixed
 immersion the constrained hessian of the relaxed energy is the pencil
 H_area + sigma^2 H_F; both parts are contracted from one pass of per-node
-second-derivative kernels of the energy densities (exact jet propagation
+second-derivative kernels of the energy densities (a second-order adjoint
 in Gram coordinates, with the retraction-curvature first-variation term
 folded in), so one pencil serves every sigma.  The index/nullity come
 from the generalized symmetric eigenproblem against the L2 Gram matrix.
@@ -149,22 +149,13 @@ def sigma_pencil(immersion, basis):
     Returns (H_area, H_F, G, grad_area, grad_F): at this immersion the
     constrained A^sigma hessian is exactly H_area + sigma^2 H_F and the
     gradient grad_area + sigma^2 grad_F, for every sigma; G is the L2 Gram
-    matrix.  One energy._node_kernels pass serves all of it: the gradient
-    and hessian of each node density in the 21 entries of its node Gram
-    matrix, by a second-order adjoint, pulled back to the node
-    coordinates.  The retraction form is linear in the node gradient, so
-    in the sphere ambient each part's kernel gains its own retraction
-    term, added in place to its Q diagonal blocks, and the gradient is
-    read off the node gradient, grad_a = sum_n g_n . y_a(n).  The pass
-    runs in fixed blocks of nodes, and the pencil is bit-identical for
-    any block size and CPU count.
+    matrix.  One energy._node_kernels pass serves all of it: each part's
+    constrained node kernel K_n and node gradient g_n, so that
+    H_ab = sum_n y_a(n)^T K_n y_b(n) and grad_a = sum_n g_n . y_a(n) with
+    y_a(n) the node coordinates of w_a.  The pass runs in fixed blocks of
+    nodes, and the pencil is bit-identical for any block size.
     """
     K_area, K_f, g_area, g_f = energy._node_kernels(immersion)
-    if immersion.ambient.kind == "sphere":
-        P = immersion.derivatives()
-        energy._add_kron_identity(K_area,
-                                  energy._retraction_kernel(*P, g_area))
-        energy._add_kron_identity(K_f, energy._retraction_kernel(*P, g_f))
     Y = energy.node_coordinates(*basis.triples())
     H_area, H_f = (np.einsum("anp,npq,bnq->ab", Y, K, Y, optimize=True)
                    for K in (K_area, K_f))
@@ -174,14 +165,18 @@ def sigma_pencil(immersion, basis):
             grad_area, grad_f)
 
 
+def _grad_norm(grad, gram_diag):
+    """sup_a |grad_a| / sqrt(G_aa): the sup of |DA^sigma(w_a)| over
+    Gram-normalized basis fields."""
+    return float(np.max(np.abs(grad)
+                        / np.sqrt(np.maximum(gram_diag, 1e-300))))
+
+
 def _pencil_hessian(pencil, sigma):
-    """(H, G, grad_norm) of a sigma_pencil at one sigma; grad_norm is the
-    sup of |DA^sigma(w_a)| over Gram-normalized basis fields."""
+    """(H, G, grad_norm) of a sigma_pencil at one sigma (_grad_norm)."""
     H_area, H_f, G, grad_area, grad_f = pencil
-    grad = grad_area + sigma ** 2 * grad_f
-    norms = np.sqrt(np.maximum(np.diag(G), 1e-300))
     return (H_area + sigma ** 2 * H_f, G,
-            float(np.max(np.abs(grad) / norms)))
+            _grad_norm(grad_area + sigma ** 2 * grad_f, np.diag(G)))
 
 
 def assemble_hessian(immersion, basis, sigma, warn_critical=True):
@@ -219,27 +214,18 @@ def hessian_diagonal(immersion, basis, sigma):
     """Diagonal of the constrained hessian, no off-diagonal.
 
     The diagonal H_aa = sum_n y_a(n)^T K_n y_a(n) of the assembly,
-    contracted block by block from the node kernels of
-    energy._node_kernel_blocks with K = K_area + sigma^2 K_f (and, in the
-    sphere ambient, the retraction kernel of the node gradient
-    g_area + sigma^2 g_f), so that no (N, 6Q, 6Q) array is ever held and
-    the cost is one kernel pass plus one node-wise quadratic form per
-    field; this scales to full-band bases where the dense assembly would
-    not.  The critical point solver's Newton denominators.  Each node's
-    terms are summed over the nodes at the end, so the diagonal is
-    bit-identical for any block size.
+    contracted block by block from the constrained node kernels of
+    energy._node_kernel_blocks with K = K_area + sigma^2 K_f, so that no
+    (N, 6Q, 6Q) array is ever held and the cost is one kernel pass plus
+    one node-wise quadratic form per field; this scales to full-band
+    bases where the dense assembly would not.  The critical point
+    solver's Newton denominators.  Each node's terms are summed over the
+    nodes at the end, so the diagonal is bit-identical for any block size.
     """
     W, Wd, Wdd = basis.triples()
-    s2 = sigma ** 2
-    sphere = immersion.ambient.kind == "sphere"
-    P, Pd, Pdd = immersion.derivatives()
     per_node = np.empty(W.shape[:2])
-    for lo, hi, K, K_f, g, g_f in energy._node_kernel_blocks(immersion):
-        K += s2 * K_f
-        if sphere:
-            g += s2 * g_f
-            energy._add_kron_identity(K, energy._retraction_kernel(
-                P[lo:hi], Pd[lo:hi], Pdd[lo:hi], g))
+    for lo, hi, K, K_f, _, _ in energy._node_kernel_blocks(immersion):
+        K += sigma ** 2 * K_f
         # (nodes, fields, 6Q): one small matrix product per node
         Y = np.swapaxes(energy.node_coordinates(
             W[:, lo:hi], Wd[:, lo:hi], Wdd[:, lo:hi]), 0, 1)

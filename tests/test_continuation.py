@@ -32,6 +32,24 @@ def test_config_validation():
     assert cfg2.newton_tol == cfg.newton_tol
 
 
+@pytest.mark.parametrize("bad, field", [
+    ({"sigma_schedule": [np.inf, 0.5]}, "sigma_schedule"),
+    ({"sigma_schedule": ["inf", 0.5]}, "sigma_schedule"),
+    ({"sigma_schedule": [np.nan]}, "sigma_schedule"),
+    ({"newton_tol": -1.0}, "newton_tol"),
+    ({"newton_tol": np.inf}, "newton_tol"),
+    ({"eps_neg": -1.0}, "eps_neg"),
+    ({"eps_neg": np.nan}, "eps_neg"),
+    ({"max_newton": -1}, "max_newton"),
+    ({"newton_cutoff": 0}, "newton_cutoff"),
+    ({"spectrum_cutoff": -1}, "spectrum_cutoff")])
+def test_config_rejects_out_of_range(bad, field):
+    # a value no stage can use is refused when the config is built
+    with pytest.raises(OutOfRange) as err:
+        continuation.ContinuationConfig(**{"sigma_schedule": [0.5], **bad})
+    assert err.value.field == field
+
+
 def test_semicontinuity_verdict_logic():
     out = continuation.semicontinuity_verdict(5, [0, 0, 5, 5], tail_start=2)
     assert out["pass"]

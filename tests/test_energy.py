@@ -196,15 +196,43 @@ def _vector_jet_kernels(im, in_flight=24):
     return out + [bk[diag].T for bk in b]
 
 
+def _retraction_forms(im):
+    """The node forms r (2, N, 6, 6) of (w_a, w_b) -> DA(-(w_a . w_b) Phi)
+    for the area and F densities, by the explicit first variation of the
+    product-rule retraction field: unit node directions in slots p and q
+    of one ambient component, weighted by dvol.  The kernel is
+    r (x) I_Q, since the field pairs equal components only."""
+    Q = im.ambient.dim
+    slots = np.zeros((6, 1, 6 * Q))
+    slots[np.arange(6), 0, np.arange(6) * Q] = 1.0
+    W, Wu, Wv, Wuu, Wuv, Wvv = np.split(slots, 6, axis=-1)
+    triple = (W, np.stack([Wu, Wv], -2),
+              np.stack([np.stack([Wuu, Wuv], -2), np.stack([Wuv, Wvv], -2)],
+                       -3))
+    # pair every slot p (leading axis) with every slot q (next axis)
+    a = [x[:, None] for x in triple]
+    b = [x[None, :] for x in triple]
+    V = energy._retraction_curvature_triple(*im.derivatives(), *a, *b)
+    dvol = im.geometry.dvol
+    return [np.moveaxis(d * dvol, -1, 0)
+            for d in energy._first_variation_densities(im, *V)]
+
+
 @pytest.mark.parametrize("name", ["perturbed_equator", "round_sphere",
                                   "perturbed_clifford", "clifford_r4",
                                   "equator", "clifford"])
 def test_gram_kernels_match_vector_jets_per_node(request, name):
-    # the Gram route against the jets of pointwise_geometry, node by node;
-    # next to the poles of the sphere chart the Gram route keeps these
-    # digits only at its sheared and scaled coordinates
+    # the Gram route against the jets of pointwise_geometry, node by node,
+    # plus in the sphere ambient the retraction form from the explicit
+    # first variation; next to the poles of the sphere chart the Gram route
+    # keeps these digits only at its sheared and scaled coordinates
     im = request.getfixturevalue(name)
-    for new, ref in zip(energy._node_kernels(im), _vector_jet_kernels(im)):
+    refs = _vector_jet_kernels(im)
+    if im.ambient.kind == "sphere":
+        Q = im.ambient.dim
+        for K, r in zip(refs, _retraction_forms(im)):
+            K += np.einsum("npq,ij->npiqj", r, np.eye(Q)).reshape(K.shape)
+    for new, ref in zip(energy._node_kernels(im), refs):
         axes = tuple(range(1, ref.ndim))
         err = np.max(np.abs(new - ref), axis=axes)
         assert np.all(err <= 1e-13 * np.max(np.abs(ref), axis=axes))

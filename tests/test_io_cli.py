@@ -283,7 +283,8 @@ def test_cli_continue_short_run(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [{"newton_tol": "abc"},
-                                 {"sigma_schedule": 5}])
+                                 {"sigma_schedule": 5},
+                                 {"max_newton": float("inf")}])
 def test_cli_continue_bad_config_value(tmp_path, capsys, bad):
     # a known key with a value the config cannot take is a parse error,
     # reported like every other validation failure
@@ -297,6 +298,47 @@ def test_cli_continue_bad_config_value(tmp_path, capsys, bad):
     assert err["error"] == "ParseError"
     assert err["field"] == "config"
     assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("bad, field", [({"eps_neg": -1.0}, "eps_neg"),
+                                        ({"eps_neg": float("nan")},
+                                         "eps_neg"),
+                                        ({"max_newton": -1}, "max_newton"),
+                                        ({"sigma_schedule": ["inf", 0.5]},
+                                         "sigma_schedule"),
+                                        ({"spectrum_cutoff": -1},
+                                         "spectrum_cutoff"),
+                                        ({"newton_tol": -1}, "newton_tol")])
+def test_cli_continue_out_of_range_config(tmp_path, capsys, bad, field):
+    # out-of-range config values are OutOfRange on their field, before any
+    # stage runs or any output is written
+    cfg_path = str(tmp_path / "run.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"start": "clifford_torus", "resolution": 8,
+                   "sigma_schedule": [0.5], **bad}, fh)
+    code = cli.main(["continue", "--config", cfg_path,
+                     "--output", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "OutOfRange"
+    assert err["field"] == field
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["spectrum", "--basis-cutoff", "1", "--eps-neg", "nan"], "eps_neg"),
+    (["spectrum", "--basis-cutoff", "1", "--sigma", "nan"], "sigma"),
+    (["energy", "--sigma", "inf"], "sigma"),
+    (["variation-check", "--amplitude", "inf"], "amplitude")])
+def test_cli_non_finite_flag_is_out_of_range(tmp_path, capsys, argv, field):
+    out = tmp_path / "out"
+    code = cli.main(argv + ["--input", "clifford_torus", "--resolution", "8",
+                            "--output", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "OutOfRange"
+    assert err["field"] == field
+    assert not os.path.exists(out)
 
 
 def test_cli_bad_seed_is_parse_error(tmp_path, capsys):
@@ -330,7 +372,9 @@ def test_cli_malformed_checkpoint_is_parse_error(tmp_path, capsys, content):
 @pytest.mark.parametrize("bad, field", [({"resolution": "abc"}, "resolution"),
                                         ({"start": 5}, "start"),
                                         ({"start": ["clifford_torus"]},
-                                         "start")])
+                                         "start"),
+                                        ({"resolution": float("inf")},
+                                         "resolution")])
 def test_cli_continue_bad_start_or_resolution(tmp_path, capsys, bad, field):
     # the start immersion and its resolution are checked like the config
     # keys, before anything is built or written
