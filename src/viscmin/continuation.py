@@ -15,7 +15,8 @@ nearby immersions, and the hessian convergence probe built from the two.
 import numpy as np
 
 from .energy import evaluate_energies, second_variation_constrained
-from .errors import BadDelta, EmptyTail, OutOfRange, ShapeMismatch
+from .errors import (BadDelta, EmptyTail, NoConvergence, OutOfRange,
+                     ShapeMismatch)
 from .morse import (_grad_norm, basis_gradient, hessian_diagonal,
                     normal_variation_basis, pencil_spectrum, sigma_pencil)
 # not called here; bench/spans.py looks jacobi_spectrum up in this module
@@ -156,8 +157,9 @@ def solve_critical_point(immersion, sigma, newton_tol=NEWTON_TOL,
     the mode samples from the same synthesis.
 
     Returns a dict with the final immersion, grad_norm, iterations,
-    converged flag and the gradient history.  On stall the best iterate
-    is returned with converged=False rather than raising.
+    converged flag and the gradient history.  On stall, or when an update
+    cannot be refitted onto the ambient (NoConvergence from the refit), the
+    best iterate is returned with converged=False rather than raising.
     """
     im = immersion
     if cutoff is None:
@@ -191,8 +193,14 @@ def solve_critical_point(immersion, sigma, newton_tol=NEWTON_TOL,
             step *= TRUST_RADIUS / step_norm
         update = np.einsum("a,anq->nq", step, basis.triples()[0])
         samples = im.ambient.project_point(im.samples() + update)
-        im = SampledImmersion.from_samples(im.ambient, im.topology,
-                                           im.basis, samples)
+        try:
+            im = SampledImmersion.from_samples(im.ambient, im.topology,
+                                               im.basis, samples)
+        except NoConvergence:
+            # the band-limited refit cannot put this update back on the
+            # ambient: end the solve at the best iterate so far
+            iterations = it
+            break
     grad_norm, im = best
     return {
         "immersion": im,

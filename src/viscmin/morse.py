@@ -19,7 +19,6 @@ serve only the critical point solver.
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .errors import GramNotSPD, NonCriticalWarning, ShapeMismatch
 from .fourier import FourierBasis
@@ -276,13 +275,12 @@ def spectrum_index(H, G, sigma=0.0, eps_neg=None, grad_norm=0.0):
     H = np.asarray(H, dtype=float)
     G = np.asarray(G, dtype=float)
     try:
-        scipy.linalg.cholesky(G)
-    except scipy.linalg.LinAlgError as exc:
+        chol = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError as exc:
         raise GramNotSPD(f"Gram matrix is not positive definite: {exc}")
-    try:
-        vals = scipy.linalg.eigh(H, G, eigvals_only=True, driver="gvd")
-    except scipy.linalg.LinAlgError:  # pragma: no cover - driver fallback
-        vals = scipy.linalg.eigh(H, G, eigvals_only=True)
+    # G = C C^T, so (H, G) has the eigenvalues of C^-1 H C^-T
+    reduced = np.linalg.solve(chol, np.linalg.solve(chol, H).T)
+    vals = np.linalg.eigvalsh(reduced)
     if eps_neg is None:
         eps_neg = 1e-6 * max(1.0, float(np.max(np.abs(vals))))
     return SpectrumReport(vals, eps_neg, sigma, H.shape[0], grad_norm)

@@ -3,19 +3,25 @@
 Degree-L truncation on a Gauss-Legendre(2L) x uniform(2L+1) product grid.
 The Gauss nodes sit strictly inside (0, pi), so chart quantities stay regular
 on every node, and quadrature of band-limited integrands is exact (degree
-4L-1 in cos theta, order 2L in phi). First and second chart derivatives come
-from scipy.special.sph_harm_y_all, so spectral differentiation is exact too.
+4L-1 in cos theta, order 2L in phi).
 
-The real harmonics are the usual combinations of the complex ones,
-    R_{l,0} = Y_l^0,
-    R_{l,m} = sqrt2 (-1)^m Re Y_l^m   (m > 0),
-    R_{l,-m} = sqrt2 (-1)^m Im Y_l^m  (m > 0),
-orthonormal for the round measure sin(theta) dtheta dphi.
+Each real harmonic separates into a theta-factor and a phi-factor,
+    R_{l,0} = T_l^0(theta),
+    R_{l,m} = sqrt2 T_l^m(theta) cos(m phi)    (m > 0),
+    R_{l,-m} = sqrt2 T_l^m(theta) sin(m phi)   (m > 0),
+orthonormal for the round measure sin(theta) dtheta dphi.  The T_l^m are
+the fully normalised associated Legendre functions without the
+Condon-Shortley phase, from the standard sectoral and three-term
+recurrences (Holmes & Featherstone, J. Geodesy 76, 2002); their theta
+derivatives come from the ladder relation between neighbouring orders,
+which never divides by sin(theta), and the phi derivatives are written
+out.  So the tables are exact spectral derivatives at any point, poles
+included, and need numpy only.  These are the usual real combinations
+sqrt2 (-1)^m Re/Im Y_l^m of the complex harmonics.
 """
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import sph_harm_y_all
 
 from .errors import ResolutionTooLow, ShapeMismatch
 
@@ -23,37 +29,72 @@ __all__ = ["SphHarmBasis"]
 
 _DERIV_SLOT = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (2, 0): 3, (1, 1): 4, (0, 2): 5}
 
-# points per sph_harm_y_all call: at degree 16 the build takes as long with
-# 4 points per call as with 66, and its transient memory grows with the
-# points (about 8 MB more peak RSS at 33 points per call than at 4)
-_POINTS_PER_CALL = 8
+
+def _theta_factors(L, theta):
+    """T_l^m(theta) for 0 <= m <= l <= L as [L + 1, L + 2, npts].
+
+    Entries with m > l are zero, so the ladder can read order m + 1.
+    """
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    out = np.zeros((L + 1, L + 2, theta.size))
+    out[0, 0] = 1.0 / np.sqrt(4.0 * np.pi)
+    for ell in range(1, L + 1):
+        out[ell, ell] = (np.sqrt((2 * ell + 1) / (2 * ell)) * sin_t
+                         * out[ell - 1, ell - 1])
+        out[ell, ell - 1] = np.sqrt(2 * ell + 1) * cos_t * out[ell - 1, ell - 1]
+        m = np.arange(ell - 1)[:, None]
+        a = np.sqrt((4 * ell * ell - 1) / (ell * ell - m * m))
+        b = np.sqrt(((ell - 1) ** 2 - m * m) / (4 * (ell - 1) ** 2 - 1))
+        out[ell, :ell - 1] = a * (cos_t * out[ell - 1, :ell - 1]
+                                  - b * out[ell - 2, :ell - 1])
+    return out
+
+
+def _theta_derivative(T):
+    """d/dtheta of a [L + 1, L + 2, npts] stack of theta-factors.
+
+    dT_l^m = (sqrt((l+m)(l-m+1)) T_l^(m-1) - sqrt((l-m)(l+m+1)) T_l^(m+1)) / 2
+    and dT_l^0 = -sqrt(l(l+1)) T_l^1; linear with constant coefficients, so
+    applying it to the derivatives gives the second derivatives.
+    """
+    L = T.shape[0] - 1
+    ell = np.arange(L + 1)[:, None]
+    m = np.arange(1, L + 1)
+    down = np.sqrt(np.maximum((ell + m) * (ell - m + 1), 0))[..., None]
+    up = np.sqrt(np.maximum((ell - m) * (ell + m + 1), 0))[..., None]
+    out = np.zeros_like(T)
+    out[:, 0] = -np.sqrt(ell * (ell + 1)) * T[:, 1]
+    out[:, 1:L + 1] = 0.5 * (down * T[:, :L] - up * T[:, 2:])
+    return out
 
 
 def _real_tables(L, theta, phi):
     """Stack [K, 6, npts] of R_k and its chart derivatives at given points.
 
-    One sph_harm_y_all call tabulates every (l, m) at a block of
-    _POINTS_PER_CALL points, which bounds its complex temporaries; the
-    tables are bitwise those of one sph_harm_y call per (l, m).
+    The theta-factors are computed once per distinct theta (2L of them on
+    the product grid) and each table entry is one product of a theta-factor
+    with a phi-factor; rows run l^2 + l + m.
     """
-    npts = theta.size
-    out = np.empty(((L + 1) ** 2, 6, npts))
-    ell, m = np.array([(d, k) for d in range(L + 1)
-                       for k in range(d + 1)]).T
-    zero, pos = m == 0, m > 0
-    sign = (np.sqrt(2.0) * (-1.0) ** m[pos])[:, None]
-    row = ell * ell + ell
-    for lo in range(0, npts, _POINTS_PER_CALL):
-        hi = min(npts, lo + _POINTS_PER_CALL)
-        y, grad, hess = sph_harm_y_all(L, L, theta[lo:hi], phi[lo:hi],
-                                       diff_n=2)
-        for slot, table in enumerate([y, grad[..., 0], grad[..., 1],
-                                      hess[..., 0, 0], hess[..., 0, 1],
-                                      hess[..., 1, 1]]):
-            vals = table[ell, m]
-            out[row[zero], slot, lo:hi] = vals[zero].real
-            out[(row + m)[pos], slot, lo:hi] = sign * vals[pos].real
-            out[(row - m)[pos], slot, lo:hi] = sign * vals[pos].imag
+    theta_u, inv = np.unique(theta, return_inverse=True)
+    t0 = _theta_factors(L, theta_u)
+    t1 = _theta_derivative(t0)
+    t2 = _theta_derivative(t1)
+    m = np.arange(L + 1)[:, None]
+    c = np.sqrt(2.0) * np.cos(m * phi)
+    s = np.sqrt(2.0) * np.sin(m * phi)
+    c[0], s[0] = 1.0, 0.0
+    # per slot: which theta-factor, and the phi-factor of the rows m >= 0
+    # (cos) and m < 0 (sin)
+    slots = [(0, c, s), (1, c, s), (0, -m * s, m * c), (2, c, s),
+             (1, -m * s, m * c), (0, -m * m * c, -m * m * s)]
+    out = np.empty(((L + 1) ** 2, 6, theta.size))
+    for ell in range(L + 1):
+        t = [f[ell, :ell + 1][:, inv] for f in (t0, t1, t2)]
+        block = out[ell * ell:(ell + 1) ** 2]
+        for slot, (k, cos_f, sin_f) in enumerate(slots):
+            np.multiply(t[k], cos_f[:ell + 1], out=block[ell:, slot])
+            np.multiply(t[k][1:], sin_f[1:ell + 1],
+                        out=block[:ell][::-1, slot])
     return out
 
 

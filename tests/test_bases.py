@@ -104,8 +104,10 @@ def test_basis_dict_round_trip():
 
 
 def test_sphharm_tables_match_per_mode_calls():
-    # the tables come from sph_harm_y_all in blocks of points; they must be
-    # bitwise the per-(l, m) sph_harm_y values with the real-harmonic signs
+    # the tables come from a numpy recurrence; they must match the per-(l, m)
+    # sph_harm_y values with the real-harmonic signs to rounding (measured
+    # worst 1.1e-15 of a slot's largest entry), and the basis must hold
+    # bitwise the tables of its own grid
     from scipy.special import sph_harm_y
 
     from viscmin.sphharm import _real_tables
@@ -125,5 +127,66 @@ def test_sphharm_tables_match_per_mode_calls():
                 sign = np.sqrt(2.0) * (-1.0) ** m
                 ref[ell * ell + ell + m] = sign * stack.real
                 ref[ell * ell + ell - m] = sign * stack.imag
-    assert np.array_equal(_real_tables(L, theta, phi), ref)
-    assert np.array_equal(basis._tables, ref)
+    tables = _real_tables(L, theta, phi)
+    scale = np.max(np.abs(ref), axis=(0, 2), keepdims=True)
+    assert np.all(np.abs(tables - ref) <= 4e-15 * scale)
+    assert np.array_equal(basis._tables, tables)
+
+
+def _scipy_tables(L, theta, phi):
+    """[K, 6, npts] real harmonic tables from one sph_harm_y call per (l, m)."""
+    from scipy.special import sph_harm_y
+
+    ref = np.empty(((L + 1) ** 2, 6, len(theta)))
+    for ell in range(L + 1):
+        for m in range(ell + 1):
+            y, grad, hess = sph_harm_y(ell, m, theta, phi, diff_n=2)
+            stack = np.stack([y, grad[..., 0], grad[..., 1], hess[..., 0, 0],
+                              hess[..., 0, 1], hess[..., 1, 1]])
+            row = ell * ell + ell
+            if m == 0:
+                ref[row] = stack.real
+            else:
+                sign = np.sqrt(2.0) * (-1.0) ** m
+                ref[row + m] = sign * stack.real
+                ref[row - m] = sign * stack.imag
+    return ref
+
+
+@pytest.mark.parametrize("L", [16, 24])
+def test_sphharm_tables_match_scipy_on_and_off_grid(L):
+    # every latitude of the grid at three longitudes, then seeded points
+    # with both poles and a near-pole theta, against per-mode scipy calls;
+    # each derivative slot within 1e-13 of its largest entry
+    from viscmin.sphharm import _real_tables
+
+    basis = SphHarmBasis(L)
+    cols = [0, 1, basis.n_phi // 2]
+    on_grid = (np.arange(basis.n_theta)[:, None] * basis.n_phi
+               + np.array(cols)).ravel()
+    rng = np.random.default_rng(L)
+    theta = np.concatenate([[0.0, np.pi, 1e-7, np.pi - 1e-7],
+                            rng.uniform(0.0, np.pi, 12)])
+    phi = rng.uniform(0.0, 2.0 * np.pi, theta.size)
+    for tables, (th, ph) in [
+            (basis._tables[:, :, on_grid], basis.grid_points[on_grid].T),
+            (_real_tables(L, theta, phi), (theta, phi))]:
+        ref = _scipy_tables(L, th, ph)
+        scale = np.max(np.abs(ref), axis=(0, 2), keepdims=True)
+        assert np.all(np.isfinite(tables))
+        assert np.all(np.abs(tables - ref) <= 1e-13 * scale)
+
+
+def test_sphharm_tables_satisfy_the_sphere_laplacian():
+    # code-independent: every R_{l,m} is an eigenfunction of the round
+    # Laplacian, R_tt + cot(t) R_t + R_pp / sin(t)^2 = -l(l+1) R, checked
+    # at the Gauss nodes from the table's own derivative slots
+    L = 24
+    basis = SphHarmBasis(L)
+    T = basis._tables
+    theta = basis.grid_points[:, 0]
+    ell = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)[:, None]
+    lap = (T[:, 3] + np.cos(theta) / np.sin(theta) * T[:, 1]
+           + T[:, 5] / np.sin(theta) ** 2)
+    residual = np.max(np.abs(lap + ell * (ell + 1) * T[:, 0]))
+    assert residual <= 1e-13 * L * (L + 1) * np.max(np.abs(T[:, 0]))

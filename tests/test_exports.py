@@ -31,3 +31,13 @@ def test_package_import_loads_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_import_loads_no_scipy():
+    # the library runs on numpy alone; scipy is a test-side oracle only
+    src = os.path.dirname(os.path.dirname(viscmin.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, viscmin.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -282,6 +282,29 @@ def test_cli_continue_short_run(tmp_path):
     assert cli.main(["energy", "--input", stage_path]) == 0
 
 
+def test_cli_continue_survives_a_failed_refit(tmp_path):
+    # from this start a Newton update cannot be refitted onto S^3
+    # (NoConvergence in from_samples); the solve ends at its best iterate
+    # as not converged and the run still writes every stage and a verdict
+    cfg_path = str(tmp_path / "run.json")
+    out_dir = str(tmp_path / "out")
+    schedule = [0.5, 0.25, 0.125]
+    with open(cfg_path, "w") as fh:
+        json.dump({"start": "perturbed_clifford", "resolution": 12,
+                   "sigma_schedule": schedule, "newton_cutoff": 3,
+                   "spectrum_cutoff": 2}, fh)
+    assert cli.main(["continue", "--config", cfg_path,
+                     "--output", out_dir]) in (0, 2)
+    stages = [json.load(open(os.path.join(out_dir, f"stage_{k}.json")))
+              for k in range(1, len(schedule) + 1)]
+    assert [st["sigma"] for st in stages] == schedule
+    assert not stages[0]["converged"]
+    rows = open(os.path.join(out_dir, "stages.csv")).read().splitlines()
+    assert len(rows) == len(schedule) + 1
+    verdict = json.load(open(os.path.join(out_dir, "verdict.json")))
+    assert "pass" in verdict
+
+
 @pytest.mark.parametrize("bad", [{"newton_tol": "abc"},
                                  {"sigma_schedule": 5},
                                  {"max_newton": float("inf")}])

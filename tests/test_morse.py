@@ -111,6 +111,26 @@ def test_spectrum_index_rejects_bad_gram():
         morse.spectrum_index(H, G)
 
 
+@pytest.mark.parametrize("fixture", ["clifford", "perturbed_clifford",
+                                     "equator"])
+def test_spectrum_index_matches_scipy_generalized_eigh(request, fixture):
+    # the Cholesky reduction and eigvalsh against scipy's generalized
+    # solver on real pencils: eigenvalues within 1e-13 of the largest, and
+    # the same counts under the same default threshold
+    im = request.getfixturevalue(fixture)
+    H_area, H_f, G, _, _ = morse.sigma_pencil(
+        im, morse.normal_variation_basis(im, 3))
+    for sigma in (0.0, 0.17, 0.3):
+        H = H_area + sigma ** 2 * H_f
+        rep = morse.spectrum_index(H, G, sigma)
+        ref = scipy.linalg.eigh(H, G, eigvals_only=True)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(rep.eigenvalues - ref)) <= 1e-13 * scale
+        eps = 1e-6 * max(1.0, scale)
+        assert rep.index == np.sum(ref < -eps)
+        assert rep.nullity == np.sum(np.abs(ref) <= eps)
+
+
 def test_reparametrization_invariance_of_spectrum(clifford):
     # pull the clifford torus back along a seeded diffeomorphism; the
     # constrained spectrum is a property of the surface, not the chart
