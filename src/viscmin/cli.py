@@ -130,9 +130,9 @@ def validate_config(raw):
 # handlers
 # ---------------------------------------------------------------------------
 
-def _load_input(cfg, key="input"):
+def _load_input(cfg):
     """Immersion from a checkpoint path, or a preset fixture by name."""
-    name = cfg[key]
+    name = cfg["input"]
     if name in surface.preset_names():
         return surface.make_preset(name, resolution=cfg.get("resolution", 16))
     return io.load_immersion(name)
@@ -284,10 +284,7 @@ def _cmd_continue(cfg):
                          f"checkpoint path, got {start!r}")
     resolution = _cast("resolution", _int_pos("resolution"),
                        raw.pop("resolution", 16))
-    if start in surface.preset_names():
-        im = surface.make_preset(start, resolution=resolution)
-    else:
-        im = io.load_immersion(start)
+    im = _load_input({"input": start, "resolution": resolution})
     known = inspect.signature(continuation.ContinuationConfig).parameters
     bad = sorted(set(raw) - set(known))
     if bad:

@@ -130,10 +130,6 @@ class StageRecord:
         }
 
 
-def _full_band(basis):
-    return basis.mmax if hasattr(basis, "mmax") else basis.degree
-
-
 def solve_critical_point(immersion, sigma, newton_tol=NEWTON_TOL,
                          max_newton=MAX_NEWTON, cutoff=None):
     """Drive grad A^sigma to zero over normal-mode coefficients.
@@ -163,7 +159,7 @@ def solve_critical_point(immersion, sigma, newton_tol=NEWTON_TOL,
     """
     im = immersion
     if cutoff is None:
-        cutoff = _full_band(im.basis)
+        cutoff = im.basis.degree
     history = []
     best = None
     initial_grad = None
@@ -274,7 +270,10 @@ def semicontinuity_verdict(limit_spectrum, stages, tail_start=0):
 
     stages entries may be StageRecords or bare integer indices (handy for
     synthetic trajectories).  tail_start indexes into the stage list;
-    an empty tail raises EmptyTail.
+    an empty tail raises EmptyTail.  The detail names the stages whose
+    solve did not converge (unconverged_stages, positions in the stage
+    list; an integer stage counts as converged); the pass rule does not
+    read them.
     """
     trajectory = [_stage_index(s) for s in stages]
     tail = trajectory[tail_start:]
@@ -292,6 +291,9 @@ def semicontinuity_verdict(limit_spectrum, stages, tail_start=0):
             "stage_indices": trajectory,
             "tail_start": tail_start,
             "tail_min_index": tail_min,
+            "unconverged_stages": [
+                k for k, s in enumerate(stages)
+                if not getattr(s, "converged", True)],
         },
     }
 

@@ -5,8 +5,8 @@ The basis owns its collocation grid (n x n, uniform), the band limit
 exact conjugate partner and real fields stay real bit-for-bit), exact
 trapezoidal quadrature, and spectral derivatives of any order. Coefficients
 are stored as the full complex FFT array with masked-out bins kept at zero;
-a canonical packed real vector is provided for serialization and for
-building real variation bases.
+a canonical packed real vector serves serialization, and the same mode
+order gives the real scalar modes of the variation bases (real_modes).
 """
 
 import numpy as np
@@ -26,11 +26,11 @@ class FourierBasis:
         if n < 5:
             raise ResolutionTooLow("torus grid needs n >= 5")
         self.n = n
-        self.mmax = (n - 1) // 2
+        self.degree = (n - 1) // 2
         freqs = np.fft.fftfreq(n, d=1.0 / n).astype(int)
         self.freqs = freqs
-        self.mode_mask = (np.abs(freqs)[:, None] <= self.mmax) & \
-                         (np.abs(freqs)[None, :] <= self.mmax)
+        self.mode_mask = (np.abs(freqs)[:, None] <= self.degree) & \
+                         (np.abs(freqs)[None, :] <= self.degree)
         u = 2.0 * np.pi * np.arange(n) / n
         uu, vv = np.meshgrid(u, u, indexing="ij")
         self.grid_points = np.column_stack([uu.ravel(), vv.ravel()])
@@ -38,20 +38,45 @@ class FourierBasis:
         self.cell_weight = (2.0 * np.pi / n) ** 2
         self.chart_weights = np.full(self.num_nodes, self.cell_weight)
         self._modes = self._canonical_modes()
+        # grid bins of the modes after (0, 0) and of their conjugates
+        m, nn = self._modes[1:].T
+        self._bins = (m % n, nn % n)
+        self._conj_bins = ((-m) % n, (-nn) % n)
 
     def _canonical_modes(self):
-        """Deterministic mode order for the packed real vector."""
-        M = self.mmax
+        """Deterministic mode order for the packed real vector, as rows
+        (m, n): (0, 0), then the half-space n > 0 of m = 0, then every n
+        for each m > 0."""
+        M = self.degree
         modes = [(0, 0)]
         modes += [(0, nn) for nn in range(1, M + 1)]
         for m in range(1, M + 1):
             modes += [(m, nn) for nn in range(-M, M + 1)]
-        return modes
+        return np.array(modes)
 
     @property
     def mode_count(self):
         """Real degrees of freedom per scalar component."""
-        return (2 * self.mmax + 1) ** 2
+        return (2 * self.degree + 1) ** 2
+
+    def real_modes(self, cutoff):
+        """Real scalar modes with |m|, |n| <= cutoff on the grid, with labels.
+
+        Returns (samples (K, N), labels): 1, then cos and sin of
+        m u + n v for each canonical mode in turn; L2-orthogonal on the
+        flat torus.
+        """
+        modes = self._modes[1:]
+        m, nn = modes[np.max(np.abs(modes), axis=1) <= cutoff].T
+        phase = (m[:, None] * self.grid_points[:, 0]
+                 + nn[:, None] * self.grid_points[:, 1])
+        samples = np.empty((2 * len(m) + 1, self.num_nodes))
+        samples[0] = 1.0
+        samples[1::2] = np.cos(phase)
+        samples[2::2] = np.sin(phase)
+        labels = ["const"] + [f"{f}({a},{b})" for a, b in zip(m, nn)
+                              for f in ("cos", "sin")]
+        return samples, labels
 
     # -- transforms ----------------------------------------------------------
 
@@ -120,12 +145,9 @@ class FourierBasis:
         c = coeffs.reshape(self.n, self.n, -1)
         out = np.empty((self.mode_count,) + c.shape[2:])
         out[0] = c[0, 0].real
-        k = 1
-        for (m, nn) in self._modes[1:]:
-            cm = c[m % self.n, nn % self.n]
-            out[k] = 2.0 * cm.real
-            out[k + 1] = -2.0 * cm.imag
-            k += 2
+        cm = c[self._bins]
+        out[1::2] = 2.0 * cm.real
+        out[2::2] = -2.0 * cm.imag
         return out.reshape((self.mode_count,) + tail)
 
     def unpack_real(self, vec):
@@ -135,12 +157,9 @@ class FourierBasis:
         v = vec.reshape(self.mode_count, -1)
         c = np.zeros((self.n, self.n, v.shape[1]), dtype=complex)
         c[0, 0] = v[0]
-        k = 1
-        for (m, nn) in self._modes[1:]:
-            half = 0.5 * (v[k] - 1j * v[k + 1])
-            c[m % self.n, nn % self.n] = half
-            c[(-m) % self.n, (-nn) % self.n] = np.conj(half)
-            k += 2
+        half = 0.5 * (v[1::2] - 1j * v[2::2])
+        c[self._bins] = half
+        c[self._conj_bins] = np.conj(half)
         return c.reshape((self.n, self.n) + tail)
 
     # -- misc ---------------------------------------------------------------
@@ -156,7 +175,7 @@ class FourierBasis:
         tail = coeffs.shape[2:]
         src = coeffs.reshape(self.n, self.n, -1)
         dst = np.zeros((target.n, target.n, src.shape[2]), dtype=complex)
-        M = min(self.mmax, target.mmax)
+        M = min(self.degree, target.degree)
         cols = np.arange(-M, M + 1)
         for m in range(-M, M + 1):
             dst[m % target.n, cols % target.n] = src[m % self.n, cols % self.n]
@@ -166,4 +185,4 @@ class FourierBasis:
         return {"type": "fourier", "modes": self.n}
 
     def __repr__(self):
-        return f"FourierBasis(n={self.n}, mmax={self.mmax})"
+        return f"FourierBasis(n={self.n}, degree={self.degree})"

@@ -23,7 +23,7 @@ __all__ = [
     "conformal_check", "dz_field", "dzbar_field", "dbar_solve",
     "coulomb_operator", "gauge_decompose", "GaugeDecomposition",
     "slice_retract", "coupling_residual", "symbol_check",
-    "hol1_dimension", "marked_point_normalization",
+    "hol1_dimension",
 ]
 
 CONFORMAL_TOL = 1e-8
@@ -316,19 +316,3 @@ def hol1_dimension(genus):
     if genus == 0:
         return 3
     raise ShapeMismatch("only genus 0 and 1")
-
-
-def marked_point_normalization(genus, marked_z, f_at_marked):
-    """Coefficients of the holomorphic field h with (f + h)(a_i) = 0.
-
-    Genus 1: h is the constant -f(a_1). Genus 0: h(z) = c0 + c1 z + c2 z^2
-    in the stereographic coordinate; the marked points give a complex
-    Vandermonde system.
-    """
-    marked_z = np.asarray(marked_z, dtype=complex)
-    f_at_marked = np.asarray(f_at_marked, dtype=complex)
-    k = hol1_dimension(genus)
-    if marked_z.shape != (k,) or f_at_marked.shape != (k,):
-        raise ShapeMismatch(f"need values at {k} marked points")
-    V = np.vander(marked_z, k, increasing=True)
-    return np.linalg.solve(V, -f_at_marked)

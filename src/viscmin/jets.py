@@ -20,7 +20,7 @@ sweep, where jets would need n(n + 1)/2 polarized directions.
 
 import numpy as np
 
-__all__ = ["Jet2", "gradient_hessian", "jet_sqrt", "jet_sum"]
+__all__ = ["Jet2", "gradient_hessian", "jet_sqrt"]
 
 
 class Jet2:
@@ -325,10 +325,3 @@ def jet_sqrt(x):
     if isinstance(x, (Jet2, _Adjoint2)):
         return x.sqrt()
     return np.sqrt(x)
-
-
-def jet_sum(x, axis=None):
-    """Sum that accepts both plain arrays and jets."""
-    if isinstance(x, Jet2):
-        return x.sum(axis=axis)
-    return np.sum(x, axis=axis)

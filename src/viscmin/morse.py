@@ -3,17 +3,20 @@
 The index of a critical point is counted on a finite-dimensional family of
 band-limited variations: scalar spectral modes times orthonormal normal
 frame fields (plus, optionally, tangential reparametrization fields, which
-sit in the radical of the hessian at critical points). At a fixed
-immersion the constrained hessian of the relaxed energy is the pencil
-H_area + sigma^2 H_F; both parts are contracted from one pass of per-node
-second-derivative kernels of the energy densities (a second-order adjoint
-in Gram coordinates, with the retraction-curvature first-variation term
-folded in), so one pencil serves every sigma.  The index/nullity come
-from the generalized symmetric eigenproblem against the L2 Gram matrix.
-A basis fits and synthesizes its whole family in one pass each and keeps
-the triples.  The gradient contraction and the diagonal, contracted
-block by block from the same kernel pass without holding its arrays,
-serve only the critical point solver.
+sit in the radical of the hessian at critical points).  The chart basis
+owns the scalar modes and their band (real_modes); a family is one stack
+of coefficients, its samples formed by broadcasting and fitted in one
+call, and synthesized in one pass per chart derivative (the triples,
+kept on the family).  At a fixed immersion the constrained hessian of
+the relaxed energy is the pencil H_area + sigma^2 H_F; both parts are
+contracted from one pass of per-node second-derivative kernels of the
+energy densities (a second-order adjoint in Gram coordinates, with the
+retraction-curvature first-variation term folded in), so one pencil
+serves every sigma.  The index/nullity come from the generalized
+symmetric eigenproblem against the L2 Gram matrix.  The gradient
+contraction and the diagonal, contracted block by block from the same
+kernel pass without holding its arrays, serve only the critical point
+solver.
 """
 
 import warnings
@@ -21,14 +24,11 @@ import warnings
 import numpy as np
 
 from .errors import GramNotSPD, NonCriticalWarning, ShapeMismatch
-from .fourier import FourierBasis
-from .sphharm import SphHarmBasis
-from .surface import (Variation, _family_derivatives, normal_frame,
-                      tangential_field)
+from .surface import Variation, _family_derivatives, normal_frame
 from . import energy
 
 __all__ = [
-    "VariationBasis", "SpectrumReport", "scalar_modes",
+    "VariationBasis", "SpectrumReport",
     "normal_variation_basis", "reparametrization_basis", "sigma_pencil",
     "assemble_hessian", "spectrum_index", "pencil_spectrum", "jacobi_spectrum",
     "CRITICAL_GRAD_TOL",
@@ -37,67 +37,43 @@ __all__ = [
 CRITICAL_GRAD_TOL = 1e-6
 
 
-def scalar_modes(immersion, cutoff):
-    """Real scalar mode samples on the immersion grid, with labels.
-
-    Torus: 1, cos/sin(mu + nv) over the canonical half-space with
-    |m|, |n| <= cutoff. Sphere: real spherical harmonics with degree
-    <= cutoff. Both families are L2-orthogonal on their round reference
-    measures, and band-limited by construction.
-    """
-    basis = immersion.basis
-    pts = basis.grid_points
-    fields = []
-    labels = []
-    if isinstance(basis, FourierBasis):
-        c = min(cutoff, basis.mmax)
-        fields.append(np.ones(len(pts)))
-        labels.append("const")
-        pairs = [(0, n) for n in range(1, c + 1)]
-        for m in range(1, c + 1):
-            pairs += [(m, n) for n in range(-c, c + 1)]
-        for m, n in pairs:
-            phase = m * pts[:, 0] + n * pts[:, 1]
-            fields.append(np.cos(phase))
-            labels.append(f"cos({m},{n})")
-            fields.append(np.sin(phase))
-            labels.append(f"sin({m},{n})")
-    elif isinstance(basis, SphHarmBasis):
-        # the basis already tabulates every harmonic at its own nodes,
-        # row ell^2 + ell + m, so the modes are read off, not re-evaluated
-        c = min(cutoff, basis.degree)
-        fields = list(basis._tables[:(c + 1) ** 2, 0].copy())
-        labels = [f"Y({ell},{m})" for ell in range(c + 1)
-                  for m in range(-ell, ell + 1)]
-    else:
-        raise ShapeMismatch("unsupported basis type")
-    return fields, labels
-
-
 class VariationBasis:
-    """A finite family of variations along one immersion."""
+    """A finite family of variations along one immersion.
 
-    def __init__(self, immersion, fields, labels):
+    Held as one coefficient stack in the immersion's basis, the family on
+    axis -2 (before the ambient component axis), with one label per field.
+    """
+
+    def __init__(self, immersion, coeffs, labels):
         self.immersion = immersion
-        self.fields = list(fields)
+        self.coeffs = coeffs
         self.labels = list(labels)
-        if len(self.fields) != len(self.labels):
-            raise ShapeMismatch("fields and labels differ in length")
+        if coeffs.shape[-2] != len(self.labels):
+            raise ShapeMismatch("coefficients and labels differ in length")
+        self._fields = None
         self._triples = None
 
     def __len__(self):
-        return len(self.fields)
+        return len(self.labels)
+
+    @property
+    def fields(self):
+        """The family as Variations on views of the stack."""
+        if self._fields is None:
+            self._fields = [Variation(self.immersion,
+                                      coeffs=self.coeffs[..., k, :])
+                            for k in range(len(self))]
+        return self._fields
 
     def triples(self):
         """Stacked (W, Wd, Wdd) arrays over the whole family.
 
-        The fields' coefficients are stacked and synthesized together, one
-        basis evaluation per chart derivative for the whole family; the
+        One basis evaluation per chart derivative for the whole stack; the
         arrays are kept on the basis, read-only.
         """
         if self._triples is None:
-            coeffs = np.stack([f.coeffs for f in self.fields], axis=-2)
-            self._triples = _family_derivatives(self.immersion.basis, coeffs)
+            self._triples = _family_derivatives(self.immersion.basis,
+                                                self.coeffs)
             for x in self._triples:
                 x.flags.writeable = False
         return self._triples
@@ -110,36 +86,38 @@ class VariationBasis:
     def extend(self, other):
         if other.immersion is not self.immersion:
             raise ShapeMismatch("bases live on different immersions")
-        return VariationBasis(self.immersion, self.fields + other.fields,
-                              self.labels + other.labels)
+        return VariationBasis(
+            self.immersion,
+            np.concatenate([self.coeffs, other.coeffs], axis=-2),
+            self.labels + other.labels)
 
 
 def normal_variation_basis(immersion, cutoff):
     """Scalar modes times orthonormal normal frame fields."""
-    modes, mode_labels = scalar_modes(immersion, cutoff)
-    frames = normal_frame(immersion)
-    # every field's samples stacked (N, M, Q), fitted in one call
-    samples = np.stack([s[:, None] * nu for nu in frames for s in modes],
-                       axis=1)
-    coeffs = immersion.basis.fit(samples)
-    fields = [Variation(immersion, coeffs=coeffs[..., k, :])
-              for k in range(samples.shape[1])]
-    labels = [lab + (f"*nu{a}" if len(frames) > 1 else "*nu")
-              for a in range(len(frames)) for lab in mode_labels]
-    return VariationBasis(immersion, fields, labels)
+    basis = immersion.basis
+    modes, mode_labels = basis.real_modes(cutoff)
+    frames = np.stack(normal_frame(immersion), axis=1)      # (N, J, Q)
+    # samples (N, J, K, Q) of frame field j times mode k, fitted in one call
+    samples = modes.T[:, None, :, None] * frames[:, :, None]
+    N, J, K, Q = samples.shape
+    suffixes = ["*nu"] if J == 1 else [f"*nu{j}" for j in range(J)]
+    labels = [lab + sfx for sfx in suffixes for lab in mode_labels]
+    return VariationBasis(immersion, basis.fit(samples.reshape(N, J * K, Q)),
+                          labels)
 
 
 def reparametrization_basis(immersion, cutoff):
-    """Tangential fields d Phi . X for band-limited chart fields X."""
-    modes, mode_labels = scalar_modes(immersion, cutoff)
-    fields, labels = [], []
-    for s, lab in zip(modes, mode_labels):
-        for k in range(2):
-            X = np.zeros((len(s), 2))
-            X[:, k] = s
-            fields.append(tangential_field(immersion, X))
-            labels.append(f"{lab}*d{k + 1}")
-    return VariationBasis(immersion, fields, labels)
+    """Tangential fields d Phi . X for the chart fields X = s e_1, s e_2 of
+    the scalar modes s (surface.tangential_field, fitted in one call)."""
+    basis = immersion.basis
+    modes, mode_labels = basis.real_modes(cutoff)
+    _, Pd, _ = immersion.derivatives()
+    # samples (N, K, 2, Q) of mode k times the chart derivative P_i
+    samples = modes.T[:, :, None, None] * Pd[:, None]
+    N, K, _, Q = samples.shape
+    return VariationBasis(immersion, basis.fit(samples.reshape(N, 2 * K, Q)),
+                          [f"{lab}*d{i + 1}" for lab in mode_labels
+                           for i in range(2)])
 
 
 def sigma_pencil(immersion, basis):

@@ -130,6 +130,17 @@ class SphHarmBasis:
     def mode_count(self):
         return (self.degree + 1) ** 2
 
+    def real_modes(self, cutoff):
+        """Real harmonics of degree <= cutoff on the grid, with labels.
+
+        Returns (samples (K, N), labels), row l^2 + l + m for Y(l, m),
+        read off the tables; orthonormal on the round sphere.
+        """
+        c = min(cutoff, self.degree)
+        labels = [f"Y({ell},{m})" for ell in range(c + 1)
+                  for m in range(-ell, ell + 1)]
+        return self._tables[:(c + 1) ** 2, 0].copy(), labels
+
     # -- transforms ----------------------------------------------------------
 
     def fit(self, samples):

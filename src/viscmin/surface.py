@@ -24,15 +24,14 @@ from .ambient import AmbientManifold, Euclidean, UnitSphere, ambient_from_dict
 from .errors import (DegenerateMetric, NoConvergence, OffManifold,
                      ResolutionTooLow, ShapeMismatch, UnknownPreset)
 from .fourier import FourierBasis
-from .jets import jet_sqrt, jet_sum
+from .jets import jet_sqrt
 from .sphharm import SphHarmBasis
 
 __all__ = [
     "SurfaceTopology", "SampledImmersion", "Variation", "GeometryData",
     "vdot", "pointwise_geometry", "make_preset",
-    "preset_names", "normal_frame", "project_normal_bundle",
-    "tangential_field", "tangent_project", "random_variation",
-    "gauss_bonnet_defect", "brioschi_curvature",
+    "preset_names", "normal_frame", "tangential_field", "tangent_project",
+    "random_variation", "gauss_bonnet_defect", "brioschi_curvature",
 ]
 
 ON_MANIFOLD_TOL = 5e-9
@@ -45,7 +44,7 @@ TANGENT_SWEEPS = 80
 
 def vdot(x, y):
     """Last-axis dot product; works for plain arrays and jets."""
-    return jet_sum(x * y, axis=-1)
+    return (x * y).sum(axis=-1)
 
 
 def _ex(s):
@@ -522,12 +521,6 @@ class Variation:
     __rmul__ = __mul__
 
 
-def project_normal_bundle(immersion, samples):
-    """Normal-bundle part of an ambient field, as a band-limited Variation."""
-    geom = immersion.geometry
-    return Variation(immersion, samples=geom.project_normal(samples))
-
-
 def tangential_field(immersion, X):
     """Variation induced by a chart vector field: w = X^1 P_1 + X^2 P_2."""
     X = np.asarray(X, dtype=float)
@@ -565,9 +558,8 @@ def random_variation(immersion, seed, amplitude=1.0, band=None, tangent=False):
     """Seeded band-limited variation, optionally projected tangent to the
     ambient sphere (alternating projection, see tangent_project)."""
     basis = immersion.basis
-    top = basis.mmax if isinstance(basis, FourierBasis) else basis.degree
-    w = _seeded_samples(basis, seed, top if band is None else min(band, top),
-                        immersion.ambient.dim)
+    band = basis.degree if band is None else min(band, basis.degree)
+    w = _seeded_samples(basis, seed, band, immersion.ambient.dim)
     w *= amplitude / max(1e-300, np.max(np.linalg.norm(w, axis=-1)))
     if tangent and immersion.ambient.kind == "sphere":
         return tangent_project(immersion, w)

@@ -190,3 +190,48 @@ def test_sphharm_tables_satisfy_the_sphere_laplacian():
            + T[:, 5] / np.sin(theta) ** 2)
     residual = np.max(np.abs(lap + ell * (ell + 1) * T[:, 0]))
     assert residual <= 1e-13 * L * (L + 1) * np.max(np.abs(T[:, 0]))
+
+
+@pytest.mark.parametrize("n, cutoff", [(16, 2), (16, 3), (16, 9), (12, 7)])
+def test_fourier_real_modes_match_explicit_formula(n, cutoff):
+    # 1, then cos/sin(m u + n v) over the canonical half-space with
+    # |m|, |n| <= cutoff, the band clamping a larger cutoff; bit for bit
+    basis = FourierBasis(n)
+    c = min(cutoff, basis.degree)
+    u, v = basis.grid_points[:, 0], basis.grid_points[:, 1]
+    pairs = [(0, k) for k in range(1, c + 1)]
+    pairs += [(m, k) for m in range(1, c + 1) for k in range(-c, c + 1)]
+    ref, ref_labels = [np.ones(len(u))], ["const"]
+    for m, k in pairs:
+        ref += [np.cos(m * u + k * v), np.sin(m * u + k * v)]
+        ref_labels += [f"cos({m},{k})", f"sin({m},{k})"]
+    samples, labels = basis.real_modes(cutoff)
+    assert labels == ref_labels
+    assert samples.shape == ((2 * c + 1) ** 2, basis.num_nodes)
+    assert np.array_equal(samples, np.stack(ref))
+
+
+def test_fourier_pack_unpack_match_per_mode_formula():
+    # the index-array packing against the per-mode formula, bit for bit
+    basis = FourierBasis(14)
+    n = basis.n
+    rng = np.random.default_rng(3)
+    coeffs = basis.unpack_real(rng.normal(size=(basis.mode_count, 2, 3)))
+    coeffs = coeffs + 1e-3 * rng.normal(size=coeffs.shape)
+    modes = [(0, k) for k in range(1, basis.degree + 1)]
+    modes += [(m, k) for m in range(1, basis.degree + 1)
+              for k in range(-basis.degree, basis.degree + 1)]
+    ref = [coeffs[0, 0].real]
+    for m, k in modes:
+        ref += [2.0 * coeffs[m % n, k % n].real,
+                -2.0 * coeffs[m % n, k % n].imag]
+    vec = basis.pack_real(coeffs)
+    assert np.array_equal(vec, np.stack(ref))
+    ref_c = np.zeros_like(coeffs)
+    ref_c[0, 0] = vec[0]
+    for j, (m, k) in enumerate(modes):
+        half = 0.5 * (vec[2 * j + 1] - 1j * vec[2 * j + 2])
+        ref_c[m % n, k % n] = half
+        ref_c[-m % n, -k % n] = np.conj(half)
+    assert np.array_equal(basis.unpack_real(vec), ref_c)
+    assert np.array_equal(basis.pack_real(basis.unpack_real(vec)), vec)

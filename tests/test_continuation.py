@@ -60,6 +60,11 @@ def test_semicontinuity_verdict_logic():
         continuation.semicontinuity_verdict(5, [5, 5], tail_start=2)
 
 
+def test_semicontinuity_verdict_integer_stages_count_as_converged():
+    out = continuation.semicontinuity_verdict(5, [0, 0, 5, 5], tail_start=2)
+    assert out["detail"]["unconverged_stages"] == []
+
+
 def test_cutoff_spec_validation():
     with pytest.raises(BadDelta):
         continuation.CutoffSpec([(1.0, 1.0)], 0.3)

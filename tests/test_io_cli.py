@@ -424,3 +424,28 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     # runtime failure (missing file): exit 1
     code = cli.main(["energy", "--input", str(tmp_path / "missing.json")])
     assert code == 1
+
+
+@pytest.mark.parametrize("start, resolution, schedule, extra, unconverged", [
+    # every solve of this run ends unconverged (see the refit test above)
+    ("perturbed_clifford", 12, [0.5, 0.25, 0.125],
+     {"newton_cutoff": 3}, [0, 1, 2]),
+    # the Clifford torus is critical at every sigma
+    ("clifford_torus", 16, [0.5, 0.25, 0.125, 0.0625], {}, []),
+])
+def test_cli_continue_verdict_names_unconverged_stages(
+        tmp_path, start, resolution, schedule, extra, unconverged):
+    cfg_path = str(tmp_path / "run.json")
+    out_dir = str(tmp_path / "out")
+    with open(cfg_path, "w") as fh:
+        json.dump({"start": start, "resolution": resolution,
+                   "sigma_schedule": schedule, "spectrum_cutoff": 2,
+                   **extra}, fh)
+    cli.main(["continue", "--config", cfg_path, "--output", out_dir])
+    verdict = json.load(open(os.path.join(out_dir, "verdict.json")))
+    detail = verdict["detail"]
+    assert detail["unconverged_stages"] == unconverged
+    assert len(detail["stage_indices"]) == len(schedule)
+    converged = [json.load(open(os.path.join(out_dir, f"stage_{k}.json")))
+                 ["converged"] for k in range(1, len(schedule) + 1)]
+    assert [k for k, c in enumerate(converged) if not c] == unconverged

@@ -298,7 +298,7 @@ def test_sphere_scalar_modes_match_evaluate_at(equator):
     # the modes are read off the basis tables; the one-hot synthesis at the
     # grid nodes is the reference, bit for bit
     cutoff = 4
-    modes, labels = morse.scalar_modes(equator, cutoff)
+    modes, labels = equator.basis.real_modes(cutoff)
     helper = SphHarmBasis(cutoff)
     pts = equator.basis.grid_points
     assert len(modes) == helper.mode_count
@@ -471,3 +471,42 @@ def test_sigma_pencil_independent_of_node_blocks(request, monkeypatch,
     for block in [1, 7, 45, im.basis.num_nodes]:
         for a, b in zip(ref, pencil(block)):
             assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("fixture", ["perturbed_clifford", "perturbed_equator"])
+def test_reparametrization_basis_matches_per_field_fits(request, fixture):
+    # the family is fitted in one call; each field must be the
+    # tangential_field of its chart field s e_k, fitted on its own
+    im = request.getfixturevalue(fixture)
+    cutoff = 2
+    basis = morse.reparametrization_basis(im, cutoff)
+    modes, mode_labels = im.basis.real_modes(cutoff)
+    ref, labels = [], []
+    for s, lab in zip(modes, mode_labels):
+        for k in range(2):
+            X = np.zeros((len(s), 2))
+            X[:, k] = s
+            ref.append(surface.tangential_field(im, X).coeffs)
+            labels.append(f"{lab}*d{k + 1}")
+    ref = np.stack(ref, axis=-2)
+    assert basis.labels == labels
+    assert basis.coeffs.shape == ref.shape
+    if isinstance(im.basis, FourierBasis):
+        assert np.array_equal(basis.coeffs, ref)
+    else:
+        assert np.max(np.abs(basis.coeffs - ref)) <= \
+            1e-13 * np.max(np.abs(ref))
+
+
+def test_extend_concatenates_coefficients_and_labels(equator):
+    normal = morse.normal_variation_basis(equator, 2)
+    tangential = morse.reparametrization_basis(equator, 1)
+    both = normal.extend(tangential)
+    assert len(both) == len(normal) + len(tangential)
+    assert both.labels == normal.labels + tangential.labels
+    # the family axis is -2, before the ambient components
+    assert np.array_equal(both.coeffs[..., :len(normal), :], normal.coeffs)
+    assert np.array_equal(both.coeffs[..., len(normal):, :],
+                          tangential.coeffs)
+    assert np.array_equal(both.fields[len(normal)].coeffs,
+                          tangential.coeffs[..., 0, :])
