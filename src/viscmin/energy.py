@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NotTangent, ShapeMismatch
 from .jets import Jet2, gradient_hessian, jet_sqrt
-from .surface import (Variation, _frame_cofactors, _ii_norm2,
+from .surface import (Variation, _frame_cofactors, _ii_norm2, as_variation,
                       pointwise_geometry)
 
 __all__ = [
@@ -101,8 +101,7 @@ def _covariant_hessian_samples(geom, Wd, Wdd):
 
 def first_variation(immersion, w):
     """dArea and dF along a variation, by the explicit tensor formulas."""
-    if not isinstance(w, Variation):
-        w = Variation(immersion, samples=np.asarray(w, dtype=float))
+    w = as_variation(immersion, w)
     W, Wd, Wdd = w.derivatives()
     return first_variation_samples(immersion, W, Wd, Wdd)
 
@@ -217,8 +216,7 @@ def second_variation_ambient(immersion, w, w_other=None):
     For two different directions the polarized value
     (1/4)[q(w + w') - q(w - w')] is returned.
     """
-    if not isinstance(w, Variation):
-        w = Variation(immersion, samples=np.asarray(w, dtype=float))
+    w = as_variation(immersion, w)
     if w_other is None or w_other is w:
         W, Wd, Wdd = w.derivatives()
         area, f = _jet_energies(immersion, W, Wd, Wdd)
@@ -233,8 +231,7 @@ def second_variation_ambient(immersion, w, w_other=None):
 def second_variation_area_terms(immersion, w):
     """Explicit three-term area hessian (cross-check of the jet route):
     integral of <dw;dw>_g + (tr_g u)^2 - 2 <u,u>_g."""
-    if not isinstance(w, Variation):
-        w = Variation(immersion, samples=np.asarray(w, dtype=float))
+    w = as_variation(immersion, w)
     geom = immersion.geometry
     _, Wd, _ = w.derivatives()
     u, tr_u = _strain(geom, Wd)
@@ -275,11 +272,8 @@ def second_variation_constrained(immersion, w, w_other=None, sigma=0.0,
     retraction curvature -(w . w') Phi. Requires tangent variations in the
     sphere ambient.
     """
-    if not isinstance(w, Variation):
-        w = Variation(immersion, samples=np.asarray(w, dtype=float))
-    wb = w if w_other is None else w_other
-    if not isinstance(wb, Variation):
-        wb = Variation(immersion, samples=np.asarray(wb, dtype=float))
+    w = as_variation(immersion, w)
+    wb = w if w_other is None else as_variation(immersion, w_other)
     if immersion.ambient.kind == "sphere":
         fields = [w] if wb is w else [w, wb]
         for field in fields:
@@ -553,8 +547,7 @@ def _retraction_kernel(X, g):
 
 def free_path_energies(immersion, w, t):
     """(area, f) of the map Phi + t w, evaluated pointwise (no refit)."""
-    if not isinstance(w, Variation):
-        w = Variation(immersion, samples=np.asarray(w, dtype=float))
+    w = as_variation(immersion, w)
     P, Pd, Pdd = immersion.derivatives()
     W, Wd, Wdd = w.derivatives()
     pw = pointwise_geometry(P + t * W, Pd + t * Wd, Pdd + t * Wdd,
@@ -572,8 +565,7 @@ def projected_path_energies(immersion, w, t):
     """
     if immersion.ambient.kind != "sphere":
         return free_path_energies(immersion, w, t)
-    if not isinstance(w, Variation):
-        w = Variation(immersion, samples=np.asarray(w, dtype=float))
+    w = as_variation(immersion, w)
     P, Pd, Pdd = immersion.derivatives()
     W, Wd, Wdd = w.derivatives()
     z = P + t * W

@@ -7,6 +7,11 @@ trapezoidal quadrature, and spectral derivatives of any order. Coefficients
 are stored as the full complex FFT array with masked-out bins kept at zero;
 a canonical packed real vector serves serialization, and the same mode
 order gives the real scalar modes of the variation bases (real_modes).
+
+The basis is the genus-1 chart, and it answers every chart question itself:
+genus, resolution (the grid size n that the constructor and resample take),
+of_degree(d) (the chart of band d, n = 2d + 1), and its checkpoint entry
+(to_dict and its inverse from_dict).  No other module tests the basis type.
 """
 
 import numpy as np
@@ -20,6 +25,7 @@ class FourierBasis:
     """Real trigonometric polynomials of two angles, degree <= (n-1)//2."""
 
     kind = "fourier"
+    genus = 1
 
     def __init__(self, n):
         n = int(n)
@@ -53,6 +59,16 @@ class FourierBasis:
         for m in range(1, M + 1):
             modes += [(m, nn) for nn in range(-M, M + 1)]
         return np.array(modes)
+
+    @classmethod
+    def of_degree(cls, degree):
+        """The torus chart whose band is |m|, |n| <= degree."""
+        return cls(2 * degree + 1)
+
+    @property
+    def resolution(self):
+        """The grid size n that the constructor and resample take."""
+        return self.n
 
     @property
     def mode_count(self):
@@ -182,7 +198,11 @@ class FourierBasis:
         return dst.reshape((target.n, target.n) + tail)
 
     def to_dict(self):
-        return {"type": "fourier", "modes": self.n}
+        return {"type": self.kind, "modes": self.n}
+
+    @classmethod
+    def from_dict(cls, d):
+        return cls(d["modes"])
 
     def __repr__(self):
         return f"FourierBasis(n={self.n}, degree={self.degree})"

@@ -16,11 +16,10 @@ import numpy as np
 
 from .errors import (NoConvergence, NonConformalChart, NotInRange,
                      NotInSlice, ShapeMismatch)
-from .fourier import FourierBasis
-from .surface import Variation, tangential_field
+from .surface import Variation, as_variation, tangential_field
 
 __all__ = [
-    "conformal_check", "dz_field", "dzbar_field", "dbar_solve",
+    "conformal_check", "dzbar_field", "dbar_solve",
     "coulomb_operator", "gauge_decompose", "GaugeDecomposition",
     "slice_retract", "coupling_residual", "symbol_check",
     "hol1_dimension",
@@ -46,7 +45,7 @@ def conformal_check(immersion):
 
 
 def _require_torus(immersion):
-    if not isinstance(immersion.basis, FourierBasis):
+    if immersion.basis.genus != 1:
         raise ShapeMismatch("gauge machinery lives on torus charts")
     return immersion.basis
 
@@ -67,11 +66,6 @@ def _wirtinger(basis, coeffs, bar=False, solve=False):
     else:
         out = c * mult[:, :, None]
     return basis.evaluate(out.reshape(np.shape(coeffs)))
-
-
-def dz_field(basis, samples):
-    """d/dz of a complex grid field, spectrally (d_u - i d_v)/2."""
-    return _wirtinger(basis, basis.fit(samples))
 
 
 def dzbar_field(basis, samples):
@@ -116,10 +110,7 @@ def coulomb_operator(immersion, w):
     """
     basis = _require_torus(immersion)
     conformal_check(immersion)
-    if isinstance(w, Variation):
-        Wc = w.coeffs
-    else:
-        Wc = basis.fit(np.asarray(w, dtype=float))
+    Wc = as_variation(immersion, w).coeffs
     P, Pd, _ = immersion.derivatives()
     dzPhi = 0.5 * (Pd[:, 0, :] - 1j * Pd[:, 1, :])
     q = np.sum(_wirtinger(basis, Wc) * dzPhi, axis=-1)
@@ -158,8 +149,7 @@ def gauge_decompose(immersion, v):
     representative.
     """
     basis = _require_torus(immersion)
-    if not isinstance(v, Variation):
-        v = Variation(immersion, samples=np.asarray(v, dtype=float))
+    v = as_variation(immersion, v)
     q, _ = coulomb_operator(immersion, v)
     e2l = immersion.geometry.conformal_factor
     # reparametrization fields b have q_{dPhi.X} = e^{2 lambda} dz(bbar);
@@ -191,8 +181,8 @@ def slice_retract(immersion, target):
     """
     basis = _require_torus(immersion)
     conformal_check(immersion)
-    if target.basis.n != basis.n:
-        raise ShapeMismatch("target must share the source grid")
+    if target.basis.to_dict() != basis.to_dict():
+        raise ShapeMismatch("target must share the source chart")
     gap = float(np.max(np.linalg.norm(
         target.samples() - immersion.samples(), axis=-1)))
     if gap > SLICE_RADIUS:
@@ -203,7 +193,7 @@ def slice_retract(immersion, target):
     # the diffeomorphism lives on an oversampled grid: band-limiting the
     # accumulated displacement to the coarse band would feed its truncation
     # tail back into the slice residual every sweep
-    fine = FourierBasis(2 * basis.n + 1)
+    fine = basis.resample(2 * basis.n + 1)
     disp_fine = np.zeros((fine.num_nodes, 2))
     resid = np.inf
     for it in range(SLICE_MAX_ITER):
@@ -250,8 +240,7 @@ def coupling_residual(immersion, w):
     """
     basis = _require_torus(immersion)
     conformal_check(immersion)
-    if not isinstance(w, Variation):
-        w = Variation(immersion, samples=np.asarray(w, dtype=float))
+    w = as_variation(immersion, w)
     q, _ = coulomb_operator(immersion, w)
     if np.max(np.abs(q)) > IN_SLICE_TOL:
         raise NotInSlice(

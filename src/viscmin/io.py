@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, ShapeMismatch
 from .surface import SampledImmersion, Variation
 
 
@@ -145,7 +145,7 @@ def load_immersion(path):
             raise ParseError(key, f"immersion checkpoint is missing '{key}'")
     try:
         return SampledImmersion.from_dict(data)
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError, ValueError, ShapeMismatch) as exc:
         raise ParseError(os.path.basename(path),
                          f"malformed immersion checkpoint: {exc!r}") from exc
 
@@ -155,8 +155,17 @@ def save_variation(path, variation):
 
 
 def load_variation(path, immersion):
+    """Variation from a file's grid samples; samples that parse but do not
+    fit the immersion's grid stay a ShapeMismatch."""
     data = read_json(path)
+    if not isinstance(data, dict):
+        raise ParseError(os.path.basename(path),
+                         "variation file must be a JSON object")
     if "samples" not in data:
         raise ParseError("samples", "variation file is missing 'samples'")
-    samples = np.asarray(data["samples"], dtype=float)
+    try:
+        samples = np.asarray(data["samples"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(
+            "samples", f"samples must be an array of numbers: {exc}") from exc
     return Variation(immersion, samples=samples)

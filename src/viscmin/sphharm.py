@@ -18,6 +18,12 @@ which never divides by sin(theta), and the phi derivatives are written
 out.  So the tables are exact spectral derivatives at any point, poles
 included, and need numpy only.  These are the usual real combinations
 sqrt2 (-1)^m Re/Im Y_l^m of the complex harmonics.
+
+The basis is the genus-0 chart, and it answers every chart question itself:
+genus, resolution (the degree L that the constructor and resample take),
+of_degree(d) (the chart of band d, here SphHarmBasis(d)), and its checkpoint
+entry (to_dict and its inverse from_dict).  No other module tests the basis
+type.
 """
 
 import numpy as np
@@ -102,6 +108,7 @@ class SphHarmBasis:
     """Real spherical harmonics up to degree L with exact chart derivatives."""
 
     kind = "sphharm"
+    genus = 0
 
     def __init__(self, degree):
         L = int(degree)
@@ -125,6 +132,16 @@ class SphHarmBasis:
         self._round_weights = w_nodes
         self._tables = _real_tables(L, self.grid_points[:, 0],
                                     self.grid_points[:, 1])
+
+    @classmethod
+    def of_degree(cls, degree):
+        """The sphere chart of band degree, the same as cls(degree)."""
+        return cls(degree)
+
+    @property
+    def resolution(self):
+        """The degree that the constructor and resample take."""
+        return self.degree
 
     @property
     def mode_count(self):
@@ -201,7 +218,11 @@ class SphHarmBasis:
         return out
 
     def to_dict(self):
-        return {"type": "sphharm", "degree": self.degree}
+        return {"type": self.kind, "degree": self.degree}
+
+    @classmethod
+    def from_dict(cls, d):
+        return cls(d["degree"])
 
     def __repr__(self):
         return f"SphHarmBasis(degree={self.degree})"

@@ -28,8 +28,8 @@ from .jets import jet_sqrt
 from .sphharm import SphHarmBasis
 
 __all__ = [
-    "SurfaceTopology", "SampledImmersion", "Variation", "GeometryData",
-    "vdot", "pointwise_geometry", "make_preset",
+    "SurfaceTopology", "SampledImmersion", "Variation", "as_variation",
+    "GeometryData", "vdot", "pointwise_geometry", "make_preset",
     "preset_names", "normal_frame", "tangential_field", "tangent_project",
     "random_variation", "gauss_bonnet_defect", "brioschi_curvature",
 ]
@@ -272,7 +272,7 @@ def brioschi_curvature(immersion):
     derivatives of the first fundamental form.
     """
     im = immersion
-    if not isinstance(im.basis, FourierBasis):
+    if im.basis.genus != 1:
         raise ShapeMismatch("Brioschi route needs a periodic chart")
     geom = im.geometry
     basis = im.basis
@@ -303,14 +303,18 @@ def brioschi_curvature(immersion):
 # immersions
 # ---------------------------------------------------------------------------
 
+# the chart bases by the type their to_dict writes
+_BASES = {cls.kind: cls for cls in (FourierBasis, SphHarmBasis)}
+
+
 class SampledImmersion:
     """Band-limited immersion of a torus or sphere chart into the ambient."""
 
     def __init__(self, ambient, topology, basis, coeffs):
-        if topology.genus == 1 and not isinstance(basis, FourierBasis):
-            raise ShapeMismatch("genus 1 needs the torus basis")
-        if topology.genus == 0 and not isinstance(basis, SphHarmBasis):
-            raise ShapeMismatch("genus 0 needs the sphere basis")
+        if basis.genus != topology.genus:
+            raise ShapeMismatch(
+                f"genus {topology.genus} topology on a genus {basis.genus} "
+                f"{basis.kind} chart")
         self.ambient = ambient
         self.topology = topology
         self.basis = basis
@@ -348,13 +352,13 @@ class SampledImmersion:
         coeffs = basis.fit(current)
         if ambient.kind == "sphere":
             for _ in range(PROJECTION_SWEEPS):
-                synth = _real(basis.evaluate(coeffs))
+                synth = basis.evaluate(coeffs).real
                 off = np.max(np.abs(np.linalg.norm(synth, axis=-1) - 1.0))
                 if off <= ON_MANIFOLD_TOL / 10.0:
                     break
                 coeffs = basis.fit(ambient.project_point(synth))
             else:
-                synth = _real(basis.evaluate(coeffs))
+                synth = basis.evaluate(coeffs).real
                 off = np.max(np.abs(np.linalg.norm(synth, axis=-1) - 1.0))
                 if off > ON_MANIFOLD_TOL:
                     raise NoConvergence(
@@ -365,7 +369,7 @@ class SampledImmersion:
 
     def samples(self):
         if "P" not in self._cache:
-            self._cache["P"] = _real(self.basis.evaluate(self.coeffs))
+            self._cache["P"] = self.basis.evaluate(self.coeffs).real
         return self._cache["P"]
 
     def derivatives(self):
@@ -382,8 +386,7 @@ class SampledImmersion:
 
     @property
     def resolution(self):
-        return self.basis.n if isinstance(self.basis, FourierBasis) \
-            else self.basis.degree
+        return self.basis.resolution
 
     def resample(self, resolution):
         """Same surface on a finer or coarser grid.
@@ -395,7 +398,7 @@ class SampledImmersion:
         if target.mode_count >= self.basis.mode_count:
             coeffs = self.basis.transfer(self.coeffs, target)
             return SampledImmersion(self.ambient, self.topology, target, coeffs)
-        vals = _real(self.basis.evaluate_at(self.coeffs, target.grid_points))
+        vals = self.basis.evaluate_at(self.coeffs, target.grid_points).real
         return SampledImmersion.from_samples(
             self.ambient, self.topology, target, vals)
 
@@ -414,19 +417,16 @@ class SampledImmersion:
     def from_dict(cls, d):
         ambient = ambient_from_dict(d["ambient"])
         topology = SurfaceTopology.from_dict(d["topology"])
-        bd = d["basis"]
-        basis = FourierBasis(bd["modes"]) if bd["type"] == "fourier" \
-            else SphHarmBasis(bd["degree"])
+        kind = d["basis"]["type"]
+        if kind not in _BASES:
+            raise ShapeMismatch(f"unknown basis type {kind!r}")
+        basis = _BASES[kind].from_dict(d["basis"])
         coeffs = basis.unpack_real(np.asarray(d["coeffs"], dtype=float))
         return cls(ambient, topology, basis, coeffs)
 
     def __repr__(self):
         return (f"SampledImmersion(genus={self.topology.genus}, "
                 f"ambient={self.ambient!r}, res={self.resolution})")
-
-
-def _real(x):
-    return x.real if np.iscomplexobj(x) else x
 
 
 def _chart_derivatives(basis, coeffs):
@@ -436,7 +436,7 @@ def _chart_derivatives(basis, coeffs):
     in both.  Each derivative is written into its slot as soon as it is
     synthesized, so one synthesis at a time is in flight."""
     def synthesize(deriv):
-        return np.moveaxis(_real(basis.evaluate(coeffs, deriv)), 0, -2)
+        return np.moveaxis(basis.evaluate(coeffs, deriv).real, 0, -2)
 
     du = synthesize((1, 0))
     d = np.empty(du.shape[:-1] + (2,) + du.shape[-1:])
@@ -456,7 +456,7 @@ def _family_derivatives(basis, coeffs):
     and (B, N, 2, 2, Q), from their coefficients stacked on the axis before
     the component axis: one synthesis for the whole family."""
     W = np.ascontiguousarray(
-        np.moveaxis(_real(basis.evaluate(coeffs)), 0, -2))
+        np.moveaxis(basis.evaluate(coeffs).real, 0, -2))
     return (W, *_chart_derivatives(basis, coeffs))
 
 
@@ -488,8 +488,8 @@ class Variation:
     @property
     def values(self):
         if "W" not in self._cache:
-            self._cache["W"] = _real(
-                self.immersion.basis.evaluate(self.coeffs))
+            self._cache["W"] = self.immersion.basis.evaluate(
+                self.coeffs).real
         return self._cache["W"]
 
     def derivatives(self):
@@ -521,6 +521,14 @@ class Variation:
     __rmul__ = __mul__
 
 
+def as_variation(immersion, w):
+    """w itself if it is a Variation, else the Variation fitted to the grid
+    samples w."""
+    if isinstance(w, Variation):
+        return w
+    return Variation(immersion, samples=np.asarray(w, dtype=float))
+
+
 def tangential_field(immersion, X):
     """Variation induced by a chart vector field: w = X^1 P_1 + X^2 P_2."""
     X = np.asarray(X, dtype=float)
@@ -544,7 +552,7 @@ def tangent_project(immersion, samples):
     w = np.asarray(samples, dtype=float)
     for _ in range(TANGENT_SWEEPS):
         w = w - np.sum(P * w, axis=-1, keepdims=True) * P
-        w = _real(basis.evaluate(basis.fit(w)))
+        w = basis.evaluate(basis.fit(w)).real
         defect = np.max(np.abs(np.sum(P * w, axis=-1)))
         if defect <= TANGENT_PROJECT_TOL:
             break
@@ -633,14 +641,10 @@ def _seeded_samples(basis, seed, band, width):
     """Seeded field of ``width`` components on the grid of basis: standard
     normal coefficients of a helper basis of the given band, synthesized."""
     rng = np.random.default_rng(seed)
-    if isinstance(basis, FourierBasis):
-        helper = FourierBasis(max(5, 2 * band + 1))
-        coeffs = helper.unpack_real(
-            rng.standard_normal((helper.mode_count, width)))
-    else:
-        helper = SphHarmBasis(max(2, band))
-        coeffs = rng.standard_normal((helper.mode_count, width))
-    return _real(helper.evaluate_at(coeffs, basis.grid_points))
+    helper = type(basis).of_degree(max(2, band))
+    coeffs = helper.unpack_real(
+        rng.standard_normal((helper.mode_count, width)))
+    return helper.evaluate_at(coeffs, basis.grid_points).real
 
 
 _PRESETS = {}

@@ -235,3 +235,19 @@ def test_fourier_pack_unpack_match_per_mode_formula():
         ref_c[-m % n, -k % n] = np.conj(half)
     assert np.array_equal(basis.unpack_real(vec), ref_c)
     assert np.array_equal(basis.pack_real(basis.unpack_real(vec)), vec)
+
+
+@pytest.mark.parametrize("basis, genus, resolution", [
+    (FourierBasis(9), 1, 9), (SphHarmBasis(4), 0, 4)])
+def test_basis_owns_its_chart(basis, genus, resolution):
+    # genus, resolution, band and the dict format all come from the basis
+    d = basis.to_dict()
+    assert d["type"] == basis.kind
+    again = type(basis).from_dict(d)
+    assert type(again) is type(basis) and again.to_dict() == d
+    assert np.array_equal(again.grid_points, basis.grid_points)
+    assert basis.genus == genus
+    assert basis.resolution == resolution
+    assert basis.resample(basis.resolution).to_dict() == d
+    for degree in (2, 3, 5):
+        assert type(basis).of_degree(degree).degree == degree

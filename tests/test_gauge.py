@@ -157,3 +157,12 @@ def test_hol1_dimensions():
     # higher genus is outside the library's chart coverage
     with pytest.raises(ShapeMismatch):
         gauge.hol1_dimension(2)
+
+
+@pytest.mark.parametrize("preset, resolution", [
+    ("equator_s2_in_s3", 16), ("clifford_torus", 8)])
+def test_slice_retract_needs_the_source_chart(clifford, preset, resolution):
+    # a target on another chart is a shape error, not a missing attribute
+    target = surface.make_preset(preset, resolution)
+    with pytest.raises(ShapeMismatch):
+        gauge.slice_retract(clifford, target)

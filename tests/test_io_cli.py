@@ -449,3 +449,53 @@ def test_cli_continue_verdict_names_unconverged_stages(
     converged = [json.load(open(os.path.join(out_dir, f"stage_{k}.json")))
                  ["converged"] for k in range(1, len(schedule) + 1)]
     assert [k for k, c in enumerate(converged) if not c] == unconverged
+
+
+def _drop_last_row(d):
+    d["coeffs"] = d["coeffs"][:-1]
+
+
+@pytest.mark.parametrize("preset, resolution, edit", [
+    ("equator_s2_in_s3", 4, lambda d: d["basis"].update(type="bogus")),
+    ("equator_s2_in_s3", 4, lambda d: d.update(
+        topology={"genus": 1, "marked_points": [[0.0, 0.0]]})),
+    ("equator_s2_in_s3", 4, _drop_last_row),
+    ("equator_s2_in_s3", 4, lambda d: d["ambient"].update(kind="hyperbolic")),
+    ("equator_s2_in_s3", 4, lambda d: d["topology"].update(
+        marked_points=d["topology"]["marked_points"][:2])),
+    # the control: on the torus a short coefficient list was a ParseError
+    ("clifford_torus", 8, _drop_last_row),
+], ids=["unknown-basis-type", "genus-1-on-sphere", "sphere-coeffs-short",
+        "unknown-ambient", "two-marked-points", "torus-coeffs-short"])
+def test_cli_checkpoint_disagreeing_with_its_chart_is_parse_error(
+        tmp_path, capsys, preset, resolution, edit):
+    d = io.immersion_checkpoint(surface.make_preset(preset, resolution))
+    edit(d)
+    path = tmp_path / "in.json"
+    io.write_json(str(path), d)
+    out = tmp_path / "out.json"
+    code = cli.main(["energy", "--input", str(path), "--output", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert err["field"] == "in.json"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("content, code, error", [
+    ("5", 2, "ParseError"),
+    ('{"samples": [[1, 2], [3]]}', 2, "ParseError"),
+    ('{"samples": "abc"}', 2, "ParseError"),
+    # samples that parse but do not fit the grid stay a shape error
+    ('{"samples": [[1, 2, 3, 4]]}', 1, "ShapeMismatch"),
+], ids=["number", "ragged", "string", "wrong-shape"])
+def test_cli_malformed_variation_file(tmp_path, capsys, content, code, error):
+    path = tmp_path / "w.json"
+    path.write_text(content)
+    out = tmp_path / "out.json"
+    assert cli.main(["gauge", "--input", "clifford_torus", "--resolution",
+                     "8", "--mode", "coulomb", "--variation", str(path),
+                     "--output", str(out)]) == code
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error
+    assert not os.path.exists(out)
