@@ -1,18 +1,24 @@
 """Ambient target manifolds: round unit spheres and flat Euclidean space.
 
-The ambient type owns the pointwise operations every other module needs:
-projection of nearby ambient points onto the manifold and tangential
-projection of vectors, plus the frame size and sectional curvature that
-the geometry pipeline reads.
+The ambient owns its constraint, so no other module tests its kind to
+decide whether a point or a vector is admissible: the per-point distance
+to the manifold (| |z| - 1 | on the sphere), the normal component of a
+vector (z . X on the sphere; both zero in flat space), the tangent
+projection and the nearest-point projection.  contains() holds points to
+the one tolerance ON_MANIFOLD_TOL, the same every immersion is held to.
+It also carries the frame size and sectional curvature that the geometry
+pipeline reads.
 """
 
 import numpy as np
 
 from .errors import OffManifold, ShapeMismatch, ZeroPoint
 
-__all__ = ["AmbientManifold", "UnitSphere", "Euclidean", "ambient_from_dict"]
+__all__ = ["AmbientManifold", "UnitSphere", "Euclidean", "ambient_from_dict",
+           "ON_MANIFOLD_TOL"]
 
-_ON_MANIFOLD_TOL = 1e-10
+# how far a point may sit off the manifold and still count as on it
+ON_MANIFOLD_TOL = 5e-9
 
 
 class AmbientManifold:
@@ -22,6 +28,18 @@ class AmbientManifold:
 
     def __init__(self, dim):
         self.dim = int(dim)
+
+    def contains(self, z):
+        return float(np.max(self.distance(z))) <= ON_MANIFOLD_TOL
+
+    def tangent_project(self, z, X):
+        """X less its normal component at the base points z."""
+        z = self._check_points(z)
+        X = self._check_points(X)
+        if not self.contains(z):
+            raise OffManifold(f"base points are not on the {self.kind} "
+                              "ambient")
+        return X - self.normal_component(z, X)[..., None] * z
 
     # Serialization ----------------------------------------------------------
 
@@ -62,17 +80,11 @@ class UnitSphere(AmbientManifold):
             raise ZeroPoint("radial projection undefined at the origin")
         return z / r
 
-    def contains(self, z):
-        z = self._check_points(z)
-        return (float(np.max(np.abs(np.linalg.norm(z, axis=-1) - 1.0)))
-                <= _ON_MANIFOLD_TOL)
+    def distance(self, z):
+        return np.abs(np.linalg.norm(self._check_points(z), axis=-1) - 1.0)
 
-    def tangent_project(self, z, X):
-        z = self._check_points(z)
-        X = self._check_points(X)
-        if not self.contains(z):
-            raise OffManifold("base points are not on the unit sphere")
-        return X - np.sum(z * X, axis=-1, keepdims=True) * z
+    def normal_component(self, z, X):
+        return np.sum(self._check_points(z) * self._check_points(X), axis=-1)
 
     frame_size = 3  # tangent frame for normal projections: P_1, P_2, Phi
     curvature_constant = 1.0  # sectional curvature of the unit sphere
@@ -91,22 +103,22 @@ class Euclidean(AmbientManifold):
     def project_point(self, z):
         return self._check_points(z)
 
-    def contains(self, z):
-        self._check_points(z)
-        return True
+    def distance(self, z):
+        return np.zeros(self._check_points(z).shape[:-1])
 
-    def tangent_project(self, z, X):
-        self._check_points(z)
-        return self._check_points(X)
+    def normal_component(self, z, X):
+        return np.zeros(self._check_points(X).shape[:-1])
 
     frame_size = 2  # tangent frame: P_1, P_2 only
     curvature_constant = 0.0
 
 
+# the ambients by the kind their to_dict writes
+_AMBIENTS = {cls.kind: cls for cls in (UnitSphere, Euclidean)}
+
+
 def ambient_from_dict(d):
     kind = d["kind"]
-    if kind == "sphere":
-        return UnitSphere(d["dim"])
-    if kind == "euclidean":
-        return Euclidean(d["dim"])
-    raise ShapeMismatch(f"unknown ambient kind {kind!r}")
+    if kind not in _AMBIENTS:
+        raise ShapeMismatch(f"unknown ambient kind {kind!r}")
+    return _AMBIENTS[kind](d["dim"])

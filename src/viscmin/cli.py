@@ -23,8 +23,8 @@ from collections import namedtuple
 import numpy as np
 
 from . import continuation, energy, gauge, io, morse, surface
-from .errors import (ConfigError, OutOfRange, ParseError, UnknownKey,
-                     ViscminError)
+from .errors import (ConfigError, OutOfRange, ParseError, ResolutionTooLow,
+                     UnknownKey, ViscminError)
 
 _REQUIRED = object()
 
@@ -133,9 +133,12 @@ def validate_config(raw):
 def _load_input(cfg):
     """Immersion from a checkpoint path, or a preset fixture by name."""
     name = cfg["input"]
-    if name in surface.preset_names():
+    if name not in surface.preset_names():
+        return io.load_immersion(name)
+    try:
         return surface.make_preset(name, resolution=cfg.get("resolution", 16))
-    return io.load_immersion(name)
+    except ResolutionTooLow as exc:
+        raise OutOfRange("resolution", str(exc)) from exc
 
 
 def _emit_json(path, obj):

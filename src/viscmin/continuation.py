@@ -21,7 +21,7 @@ from .morse import (_grad_norm, basis_gradient, hessian_diagonal,
                     normal_variation_basis, pencil_spectrum, sigma_pencil)
 # not called here; bench/spans.py looks jacobi_spectrum up in this module
 from .morse import jacobi_spectrum  # noqa: F401
-from .surface import SampledImmersion, Variation
+from .surface import SampledImmersion, Variation, tangent_project
 
 NEWTON_TOL = 1e-8
 MAX_NEWTON = 40
@@ -188,10 +188,9 @@ def solve_critical_point(immersion, sigma, newton_tol=NEWTON_TOL,
         if step_norm > TRUST_RADIUS:
             step *= TRUST_RADIUS / step_norm
         update = np.einsum("a,anq->nq", step, basis.triples()[0])
-        samples = im.ambient.project_point(im.samples() + update)
         try:
             im = SampledImmersion.from_samples(im.ambient, im.topology,
-                                               im.basis, samples)
+                                               im.basis, im.samples() + update)
         except NoConvergence:
             # the band-limited refit cannot put this update back on the
             # ambient: end the solve at the best iterate so far
@@ -440,17 +439,13 @@ def cutoff_transfer(w, spec):
 
 
 def transport_variation(w, target):
-    """Pointwise tangent projection of w onto the target immersion.
-
-    u(x) = P_{target(x)} w(x); on the sphere that subtracts the radial
-    component, in Euclidean space it is the identity.  Output is tangent
-    to the ambient along the target by construction.
-    """
+    """w moved onto the target immersion: the band-limited tangent
+    projection of its grid samples along the target (tangent_project), so
+    the result passes the tangency gate of the constrained hessian."""
     im = w.immersion
     if target.basis.to_dict() != im.basis.to_dict():
         raise ShapeMismatch("transport needs a shared sample grid")
-    samples = target.ambient.tangent_project(target.samples(), w.values)
-    return Variation(target, samples=samples)
+    return tangent_project(target, w.values)
 
 
 def w12_norm(w):
@@ -467,8 +462,8 @@ def hessian_convergence_probe(sequence, w, spec=None, sigma=0.0):
     """Constrained D2 A^sigma along a sequence of immersions.
 
     The probe variation is cut off (when a CutoffSpec is given) on its
-    home immersion, transported onto each member of the sequence by
-    pointwise projection, and fed to the constrained second variation.
+    home immersion, transported onto each member of the sequence
+    (transport_variation), and fed to the constrained second variation.
     """
     if spec is not None:
         w = cutoff_transfer(w, spec)["w_delta"]

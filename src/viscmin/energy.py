@@ -269,18 +269,16 @@ def second_variation_constrained(immersion, w, w_other=None, sigma=0.0,
     """Second variation of A^sigma along the constrained (retracted) family.
 
     Equals the ambient hessian plus the first variation evaluated on the
-    retraction curvature -(w . w') Phi. Requires tangent variations in the
-    sphere ambient.
+    retraction curvature -(w . w') Phi. Requires variations tangent to the
+    ambient (ambient.normal_component within tangent_tol).
     """
     w = as_variation(immersion, w)
     wb = w if w_other is None else as_variation(immersion, w_other)
-    if immersion.ambient.kind == "sphere":
-        fields = [w] if wb is w else [w, wb]
-        for field in fields:
-            defect = field.tangency_defect()
-            if defect > tangent_tol:
-                raise NotTangent(
-                    f"variation leaves the tangent bundle by {defect:.2e}")
+    for field in [w] if wb is w else [w, wb]:
+        defect = field.tangency_defect()
+        if defect > tangent_tol:
+            raise NotTangent(
+                f"variation leaves the tangent bundle by {defect:.2e}")
     amb = second_variation_ambient(immersion, w, None if wb is w else wb)
     d2 = amb["d2_area"] + sigma ** 2 * amb["d2_f"]
     if immersion.ambient.kind == "sphere":

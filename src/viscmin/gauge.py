@@ -281,8 +281,7 @@ def symbol_check(immersion, xi):
         e2l = geom.conformal_factor
         base = 2.0 / e2l * (1.0 + geom.II_norm2) * x2 ** 2
         rank1 = 4.0 / e2l ** 3 * np.sum(A * A, axis=-1)
-        codim = geom.ambient.dim - 2 - (1 if geom.ambient.kind == "sphere"
-                                        else 0)
+        codim = geom.ambient.dim - geom.ambient.frame_size
         if codim >= 2:
             return base, base + rank1
         return base + rank1, base + rank1

@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from .errors import ParseError, ShapeMismatch
+from .errors import ParseError, ResolutionTooLow, ShapeMismatch
 from .surface import SampledImmersion, Variation
 
 
@@ -145,7 +145,8 @@ def load_immersion(path):
             raise ParseError(key, f"immersion checkpoint is missing '{key}'")
     try:
         return SampledImmersion.from_dict(data)
-    except (TypeError, KeyError, ValueError, ShapeMismatch) as exc:
+    except (TypeError, KeyError, ValueError, ShapeMismatch,
+            ResolutionTooLow) as exc:
         raise ParseError(os.path.basename(path),
                          f"malformed immersion checkpoint: {exc!r}") from exc
 

@@ -20,7 +20,7 @@ vectors, in the Gram route as Schur complements of the node Gram matrix.
 
 import numpy as np
 
-from .ambient import AmbientManifold, Euclidean, UnitSphere, ambient_from_dict
+from .ambient import ON_MANIFOLD_TOL, Euclidean, UnitSphere, ambient_from_dict
 from .errors import (DegenerateMetric, NoConvergence, OffManifold,
                      ResolutionTooLow, ShapeMismatch, UnknownPreset)
 from .fourier import FourierBasis
@@ -34,7 +34,6 @@ __all__ = [
     "random_variation", "gauss_bonnet_defect", "brioschi_curvature",
 ]
 
-ON_MANIFOLD_TOL = 5e-9
 DET_FLOOR = 1e-8
 # sweep caps of from_samples and tangent_project, and the latter's target
 PROJECTION_SWEEPS = 12
@@ -323,10 +322,7 @@ class SampledImmersion:
         # every checkpoint round-trip bit-exact
         self.coeffs = basis.unpack_real(basis.pack_real(coeffs))
         self._cache = {}
-        samples = self.samples()
-        off = np.max(np.linalg.norm(
-            samples - ambient.project_point(samples), axis=-1)) \
-            if ambient.kind == "sphere" else 0.0
+        off = np.max(ambient.distance(self.samples()))
         if off > ON_MANIFOLD_TOL:
             raise OffManifold(
                 f"immersion leaves the ambient by {off:.2e} "
@@ -348,21 +344,18 @@ class SampledImmersion:
         if samples.shape != (basis.num_nodes, ambient.dim):
             raise ShapeMismatch(
                 f"samples must be ({basis.num_nodes}, {ambient.dim})")
-        current = ambient.project_point(samples)
-        coeffs = basis.fit(current)
-        if ambient.kind == "sphere":
-            for _ in range(PROJECTION_SWEEPS):
-                synth = basis.evaluate(coeffs).real
-                off = np.max(np.abs(np.linalg.norm(synth, axis=-1) - 1.0))
-                if off <= ON_MANIFOLD_TOL / 10.0:
-                    break
-                coeffs = basis.fit(ambient.project_point(synth))
-            else:
-                synth = basis.evaluate(coeffs).real
-                off = np.max(np.abs(np.linalg.norm(synth, axis=-1) - 1.0))
-                if off > ON_MANIFOLD_TOL:
-                    raise NoConvergence(
-                        f"projection sweeps stalled at off-manifold {off:.2e}")
+        coeffs = basis.fit(ambient.project_point(samples))
+        for _ in range(PROJECTION_SWEEPS):
+            synth = basis.evaluate(coeffs).real
+            off = np.max(ambient.distance(synth))
+            if off <= ON_MANIFOLD_TOL / 10.0:
+                break
+            coeffs = basis.fit(ambient.project_point(synth))
+        else:
+            off = np.max(ambient.distance(basis.evaluate(coeffs).real))
+            if off > ON_MANIFOLD_TOL:
+                raise NoConvergence(
+                    f"projection sweeps stalled at off-manifold {off:.2e}")
         return cls(ambient, topology, basis, coeffs)
 
     # -- sampled values ----------------------------------------------------------
@@ -500,11 +493,9 @@ class Variation:
         return (self.values, *self._cache["d"])
 
     def tangency_defect(self):
-        """sup |Phi . w| (sphere ambient); 0 in Euclidean ambient."""
-        if self.immersion.ambient.kind != "sphere":
-            return 0.0
-        return float(np.max(np.abs(np.sum(
-            self.immersion.samples() * self.values, axis=-1))))
+        """sup |ambient normal component of w| (|Phi . w| on the sphere)."""
+        return float(np.max(np.abs(self.immersion.ambient.normal_component(
+            self.immersion.samples(), self.values))))
 
     def sup_norm(self):
         return float(np.max(np.linalg.norm(self.values, axis=-1)))
@@ -538,22 +529,21 @@ def tangential_field(immersion, X):
 
 
 def tangent_project(immersion, samples):
-    """Band-limited field tangent to the ambient sphere, near the samples.
+    """Band-limited field tangent to the ambient, near the samples.
 
     Tangency (pointwise) and band limitation are both linear constraints, so
     alternating projection converges onto their intersection; the residual
     angle between the subspaces leaves a plateau around 1e-9, well below
     the 1e-8 tangency gate of the constrained hessian.
     """
-    if immersion.ambient.kind != "sphere":
-        return Variation(immersion, samples=samples)
+    ambient = immersion.ambient
     P = immersion.samples()
     basis = immersion.basis
     w = np.asarray(samples, dtype=float)
     for _ in range(TANGENT_SWEEPS):
-        w = w - np.sum(P * w, axis=-1, keepdims=True) * P
+        w = ambient.tangent_project(P, w)
         w = basis.evaluate(basis.fit(w)).real
-        defect = np.max(np.abs(np.sum(P * w, axis=-1)))
+        defect = np.max(np.abs(ambient.normal_component(P, w)))
         if defect <= TANGENT_PROJECT_TOL:
             break
     else:
@@ -564,12 +554,12 @@ def tangent_project(immersion, samples):
 
 def random_variation(immersion, seed, amplitude=1.0, band=None, tangent=False):
     """Seeded band-limited variation, optionally projected tangent to the
-    ambient sphere (alternating projection, see tangent_project)."""
+    ambient (alternating projection, see tangent_project)."""
     basis = immersion.basis
     band = basis.degree if band is None else min(band, basis.degree)
     w = _seeded_samples(basis, seed, band, immersion.ambient.dim)
     w *= amplitude / max(1e-300, np.max(np.linalg.norm(w, axis=-1)))
-    if tangent and immersion.ambient.kind == "sphere":
+    if tangent:
         return tangent_project(immersion, w)
     return Variation(immersion, samples=w)
 

@@ -301,3 +301,41 @@ def test_newton_synthesizes_each_basis_once(monkeypatch):
     assert families == [25] * (out["iterations"] + 1)
     assert fields == []
     assert len(passes) == out["iterations"]
+
+
+@pytest.fixture(scope="module")
+def perturbed_clifford_stage(perturbed_clifford):
+    """A converged Newton stage from perturbed_clifford at sigma 0.05."""
+    result = continuation.solve_critical_point(perturbed_clifford, 0.05)
+    assert result["converged"]
+    return result["immersion"]
+
+
+@pytest.mark.parametrize("target", ["perturbed_clifford",
+                                    "perturbed_clifford_stage"])
+def test_transport_lands_in_the_tangent_bundle(request, clifford, target):
+    # both targets sit a few 1e-10 off the sphere, inside the tolerance
+    # every immersion is held to
+    im = request.getfixturevalue(target)
+    w = surface.random_variation(clifford, seed=12, amplitude=0.01, band=1,
+                                 tangent=True)
+    u = continuation.transport_variation(w, im)
+    assert u.immersion is im
+    assert u.tangency_defect() <= 1e-8
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.17])
+def test_probe_converges_to_the_limit_second_variation(clifford, sigma):
+    # the convergence step of the semicontinuity argument: a test variation
+    # of the limit, transported onto immersions approaching it, has
+    # constrained second variations converging to its own, at first order
+    # in the distance
+    w = surface.random_variation(clifford, seed=12, amplitude=0.01, band=1,
+                                 tangent=True)
+    limit = energy.second_variation_constrained(clifford, w, sigma=sigma)
+    amplitudes = (0.02, 0.002, 0.0002)
+    seq = [surface.make_preset("perturbed_clifford", 16, amplitude=a)
+           for a in amplitudes]
+    vals = continuation.hessian_convergence_probe(seq, w, sigma=sigma)
+    for a, v in zip(amplitudes, vals):
+        assert abs(v - limit) <= 0.5 * a * abs(limit)

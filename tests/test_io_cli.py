@@ -499,3 +499,41 @@ def test_cli_malformed_variation_file(tmp_path, capsys, content, code, error):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == error
     assert not os.path.exists(out)
+
+
+def _checkpoint_of(preset, resolution, key, value):
+    def write(tmp_path):
+        d = io.immersion_checkpoint(surface.make_preset(preset, resolution))
+        d["basis"][key] = value
+        path = tmp_path / "in.json"
+        io.write_json(str(path), d)
+        return ["energy", "--input", str(path)]
+    return write
+
+
+def _continue_config(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"start": "clifford_torus",
+                                    "resolution": 3}))
+    return ["continue", "--config", str(cfg_path)]
+
+
+@pytest.mark.parametrize("argv, error, field", [
+    (lambda p: ["energy", "--input", "clifford_torus", "--resolution", "3"],
+     "OutOfRange", "resolution"),
+    (lambda p: ["energy", "--input", "equator_s2_in_s3", "--resolution",
+                "1"], "OutOfRange", "resolution"),
+    (_continue_config, "OutOfRange", "resolution"),
+    (_checkpoint_of("clifford_torus", 8, "modes", 3), "ParseError",
+     "in.json"),
+    (_checkpoint_of("equator_s2_in_s3", 4, "degree", 1), "ParseError",
+     "in.json"),
+], ids=["torus-flag", "sphere-flag", "continue-config", "torus-checkpoint",
+        "sphere-checkpoint"])
+def test_cli_resolution_below_the_chart_minimum_exits_2(
+        tmp_path, capsys, argv, error, field):
+    out = tmp_path / "out"
+    assert cli.main(argv(tmp_path) + ["--output", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["field"]) == (error, field)
+    assert not os.path.exists(out)
