@@ -1,13 +1,13 @@
 """Ambient target manifolds: round unit spheres and flat Euclidean space.
 
-The ambient owns its constraint, so no other module tests its kind to
-decide whether a point or a vector is admissible: the per-point distance
-to the manifold (| |z| - 1 | on the sphere), the normal component of a
-vector (z . X on the sphere; both zero in flat space), the tangent
-projection and the nearest-point projection.  contains() holds points to
-the one tolerance ON_MANIFOLD_TOL, the same every immersion is held to.
-It also carries the frame size and sectional curvature that the geometry
-pipeline reads.
+The ambient owns its constraint and its curvature, so no other module
+tests its kind: the per-point distance to the manifold (| |z| - 1 | on
+the sphere), the normal component of a vector (z . X on the sphere; both
+zero in flat space), the tangent and nearest-point projections, contains()
+against the one tolerance ON_MANIFOLD_TOL; the curvature constant kappa,
+which makes its second fundamental form in R^Q -kappa (X . Y) z; retract,
+a chart family mapped onto it with its chart derivatives; and the
+frame_size and normal_seeds of the one normal frame recipe.
 """
 
 import numpy as np
@@ -80,6 +80,30 @@ class UnitSphere(AmbientManifold):
             raise ZeroPoint("radial projection undefined at the origin")
         return z / r
 
+    def retract(self, z, zd, zdd):
+        """z / |z| and its chart derivatives by the closed-form chain rule."""
+        inv_r = 1.0 / np.sqrt(np.sum(z * z, axis=-1))
+        inv_r3 = inv_r ** 3
+        zdotzd = np.einsum("...q,...iq->...i", z, zd)
+        c = zdotzd * inv_r3[..., None]
+        y = z * inv_r[..., None]
+        yd = zd * inv_r[..., None, None] - z[..., None, :] * c[..., None]
+        zdotzdd = np.einsum("...q,...ijq->...ij", z, zdd)
+        zdzd = np.einsum("...iq,...jq->...ij", zd, zd)
+        cc = (zdotzd[..., :, None] * zdotzd[..., None, :]
+              * inv_r[..., None, None] ** 5)
+        ydd = (zdd * inv_r[..., None, None, None]
+               - zd[..., :, None, :] * c[..., None, :, None]
+               - zd[..., None, :, :] * c[..., :, None, None]
+               - z[..., None, None, :]
+               * ((zdzd + zdotzdd) * inv_r3[..., None, None])[..., None]
+               + 3.0 * z[..., None, None, :] * cc[..., None])
+        return y, yd, ydd
+
+    def normal_seeds(self, z):
+        """Seeds of the normal frame: the last axis e_Q at every point."""
+        return [np.broadcast_to(np.eye(self.dim)[-1], np.shape(z))]
+
     def distance(self, z):
         return np.abs(np.linalg.norm(self._check_points(z), axis=-1) - 1.0)
 
@@ -108,6 +132,14 @@ class Euclidean(AmbientManifold):
 
     def normal_component(self, z, X):
         return np.zeros(self._check_points(X).shape[:-1])
+
+    def retract(self, z, zd, zdd):
+        """The identity: every chart map already lies in flat space."""
+        return z, zd, zdd
+
+    def normal_seeds(self, z):
+        """Seeds of the normal frame: the position vector."""
+        return [z]
 
     frame_size = 2  # tangent frame: P_1, P_2 only
     curvature_constant = 0.0

@@ -4,13 +4,14 @@ Three independent evaluation routes coexist on purpose:
 
 * explicit tensor formulas for the first variation (metric sweep of the
   area form, normal-hessian pairing for the curvature energy, plus the
-  radial-frame correction in the sphere ambient), gathered into per-node
-  covectors that any batch of variations is contracted against;
+  position term of the moving frame, scaled by the ambient's curvature
+  constant kappa), gathered into per-node covectors that any batch of
+  variations is contracted against;
 * exact derivatives for second variations (no truncation error, uniform
   over ambients).  The hessian kernels behind every spectrum take the
   gradient and hessian of the node densities as functions of the 21 dot
-  products of each node's six vectors by a second-order adjoint, plus the
-  retraction form in the sphere ambient (the Gram route, _node_kernels,
+  products of each node's six vectors by a second-order adjoint, plus
+  kappa times the retraction form (the Gram route, _node_kernels,
   block by block in _node_kernel_blocks, which the Newton diagonal
   contracts as it goes); the order-2 vector jets of the
   pointwise geometry pipeline along whole fields
@@ -19,9 +20,12 @@ Three independent evaluation routes coexist on purpose:
   surface._ii_norm2) and differ only in how they form the normal
   pairings: Schur complements of the Gram matrix against dot products of
   projected vectors;
-* plain path evaluators (energies of the deformed map at finite t, chain
-  rule through the radial projection for the constrained path) that feed
-  the finite-difference oracles in the tests and the variation-check CLI.
+* plain path evaluators (energies of the deformed map at finite t, the
+  constrained path through the ambient's retract) that feed the
+  finite-difference oracles in the tests and the variation-check CLI.
+
+The ambient enters through its frame size, its retract and its curvature
+constant kappa (second fundamental form -kappa (X . Y) z), never its kind.
 
 Cross-checking these against each other is what the test suite does.
 """
@@ -137,12 +141,12 @@ def _first_variation_covectors(immersion):
     the F covector is
         on W_ij  4e II^{ij},
         on W_s   e (-4 Gamma^s_kl II^{kl} - 8 R_sb P_b) + e^2 A_s,
-        on W     4e tr_g II (sphere ambient only: the radial frame vector
-                 moves with the family),
-    with Gamma^s_kl = g^{rs} (P_r . P_kl), R = g^-1 S g^-1 and
-    S_ik = g^{jl} II_ij . II_kl.  Returns (A, (f, f_d, f_dd)) shaped like
-    the (Wd) and (W, Wd, Wdd) samples of one field; f is None in flat
-    space.
+        on W     4 kappa e tr_g II (the position vector, a frame vector
+                 when kappa != 0, moves with the family),
+    with Gamma^s_kl = g^{rs} (P_r . P_kl), R = g^-1 S g^-1, S_ik =
+    g^{jl} II_ij . II_kl and kappa the ambient's curvature constant.
+    Returns (A, (f, f_d, f_dd)) shaped like the (Wd) and (W, Wd, Wdd)
+    samples of one field.
     """
     geom = immersion.geometry
     ginv, Pd, II = geom.ginv, geom.Pd, geom.II
@@ -158,9 +162,8 @@ def _first_variation_covectors(immersion):
               - 8.0 * np.einsum("...sb,...bq->...sq", R, Pd))
            + (e * e)[:, None, None] * A)
     f_dd = (4.0 * e)[:, None, None, None] * II_up
-    f = None
-    if immersion.ambient.kind == "sphere":
-        f = (4.0 * e)[:, None] * geom.trace_II
+    kappa = immersion.ambient.curvature_constant
+    f = (4.0 * kappa * e)[:, None] * geom.trace_II
     return A, (f, f_d, f_dd)
 
 
@@ -174,9 +177,8 @@ def _first_variation_densities(immersion, W, Wd, Wdd):
     A, (f, f_d, f_dd) = _first_variation_covectors(immersion)
     d_area = np.einsum("...iq,...iq->...", Wd, A)
     d_f = (np.einsum("...ijq,...ijq->...", Wdd, f_dd)
-           + np.einsum("...iq,...iq->...", Wd, f_d))
-    if f is not None:
-        d_f = d_f + np.einsum("...q,...q->...", W, f)
+           + np.einsum("...iq,...iq->...", Wd, f_d)
+           + np.einsum("...q,...q->...", W, f))
     return d_area, d_f
 
 
@@ -269,7 +271,8 @@ def second_variation_constrained(immersion, w, w_other=None, sigma=0.0,
     """Second variation of A^sigma along the constrained (retracted) family.
 
     Equals the ambient hessian plus the first variation evaluated on the
-    retraction curvature -(w . w') Phi. Requires variations tangent to the
+    retraction curvature -kappa (w . w') Phi, the ambient's second
+    fundamental form on (w, w'). Requires variations tangent to the
     ambient (ambient.normal_component within tangent_tol).
     """
     w = as_variation(immersion, w)
@@ -281,11 +284,11 @@ def second_variation_constrained(immersion, w, w_other=None, sigma=0.0,
                 f"variation leaves the tangent bundle by {defect:.2e}")
     amb = second_variation_ambient(immersion, w, None if wb is w else wb)
     d2 = amb["d2_area"] + sigma ** 2 * amb["d2_f"]
-    if immersion.ambient.kind == "sphere":
-        V, Vd, Vdd = _retraction_curvature_triple(
-            *immersion.derivatives(), *w.derivatives(), *wb.derivatives())
-        fv = first_variation_samples(immersion, V, Vd, Vdd)
-        d2 += fv["d_area"] + sigma ** 2 * fv["d_f"]
+    kappa = immersion.ambient.curvature_constant
+    V, Vd, Vdd = (kappa * x for x in _retraction_curvature_triple(
+        *immersion.derivatives(), *w.derivatives(), *wb.derivatives()))
+    fv = first_variation_samples(immersion, V, Vd, Vdd)
+    d2 += fv["d_area"] + sigma ** 2 * fv["d_f"]
     return float(d2)
 
 
@@ -429,16 +432,16 @@ def _node_kernel_blocks(immersion):
     gradient and hessian of both densities, the hessian symmetrized, and
         K = J^T d2phi J + (L^T D L + r) (x) I_Q,    g = J^T dphi,
     with J = J'(L (x) I_Q), pull them back to the node coordinates; r is
-    the retraction form of g (_retraction_kernel) in the sphere ambient
-    and 0 elsewhere, so K is the kernel of the constrained hessian.  The
-    arrays are fresh for each block and belong to the caller; a node's
-    kernels do not depend on the block it is in.  The cost does not
-    depend on any variation basis, and on Q only through the pull-back.
+    kappa times the retraction form of g (_retraction_kernel), so K is the
+    kernel of the constrained hessian.  The arrays are fresh for each
+    block and belong to the caller; a node's kernels do not depend on the
+    block it is in.  The cost does not depend on any variation basis, and
+    on Q only through the pull-back.
     """
     Q = immersion.ambient.dim
     n = 6 * Q
     N = immersion.basis.num_nodes
-    sphere = immersion.ambient.kind == "sphere"
+    kappa = immersion.ambient.curvature_constant
     frame_size = immersion.ambient.frame_size
     frame = [1, 2, 0][:frame_size]
     X = node_coordinates(*immersion.derivatives()).reshape(N, 6, Q)
@@ -477,8 +480,7 @@ def _node_kernel_blocks(immersion):
             K = Jt @ (hess @ J)
             g = (Jt @ dphi[..., None])[..., 0]
             r = np.swapaxes(L, 1, 2) @ D @ L
-            if sphere:
-                r += _retraction_kernel(X[lo:hi], g)
+            r += kappa * _retraction_kernel(X[lo:hi], g)
             _add_kron_identity(K, r)
             kernels.append(K)
             gradients.append(g)
@@ -543,52 +545,31 @@ def _retraction_kernel(X, g):
 # path evaluators (feed the finite-difference oracles)
 # ---------------------------------------------------------------------------
 
-def free_path_energies(immersion, w, t):
-    """(area, f) of the map Phi + t w, evaluated pointwise (no refit)."""
+def _path_energies(immersion, w, t, retract):
+    """(area, f) of the map retract(Phi + t w), evaluated pointwise."""
     w = as_variation(immersion, w)
     P, Pd, Pdd = immersion.derivatives()
     W, Wd, Wdd = w.derivatives()
-    pw = pointwise_geometry(P + t * W, Pd + t * Wd, Pdd + t * Wdd,
+    pw = pointwise_geometry(*retract(P + t * W, Pd + t * Wd, Pdd + t * Wdd),
                             immersion.ambient)
     area, f = _node_densities(pw, immersion.basis.chart_weights)
     return float(np.sum(area)), float(np.sum(f))
 
 
-def projected_path_energies(immersion, w, t):
-    """(area, f) of the radially retracted map pi(Phi + t w), pointwise.
+def free_path_energies(immersion, w, t):
+    """(area, f) of the map Phi + t w, evaluated pointwise (no refit)."""
+    return _path_energies(immersion, w, t, lambda *z: z)
 
-    Chart derivatives of the retracted map come from the closed-form chain
-    rule through z -> z/|z|, so no spectral refit enters: this is the
+
+def projected_path_energies(immersion, w, t):
+    """(area, f) of the retracted map pi(Phi + t w), pointwise.
+
+    Chart derivatives of the retracted map come from the ambient's
+    closed-form retract (the chain rule through z -> z/|z| on the sphere,
+    the free path in flat space), so no spectral refit enters: this is the
     independent constrained-path oracle.
     """
-    if immersion.ambient.kind != "sphere":
-        return free_path_energies(immersion, w, t)
-    w = as_variation(immersion, w)
-    P, Pd, Pdd = immersion.derivatives()
-    W, Wd, Wdd = w.derivatives()
-    z = P + t * W
-    zd = Pd + t * Wd
-    zdd = Pdd + t * Wdd
-    r2 = np.sum(z * z, axis=-1)
-    r = np.sqrt(r2)
-    inv_r = 1.0 / r
-    y = z * inv_r[..., None]
-    zdotzd = np.einsum("...q,...iq->...i", z, zd)
-    yd = zd * inv_r[..., None, None] \
-        - z[..., None, :] * (zdotzd * inv_r[..., None] ** 3)[..., None]
-    zdotzdd = np.einsum("...q,...ijq->...ij", z, zdd)
-    zdzd = np.einsum("...iq,...jq->...ij", zd, zd)
-    inv_r3 = inv_r ** 3
-    inv_r5 = inv_r ** 5
-    ydd = (zdd * inv_r[..., None, None, None]
-           - zd[..., :, None, :] * (zdotzd * inv_r3[..., None])[..., None, :, None]
-           - zd[..., None, :, :] * (zdotzd * inv_r3[..., None])[..., :, None, None]
-           - z[..., None, None, :] * ((zdzd + zdotzdd) * inv_r3[..., None, None])[..., None]
-           + 3.0 * z[..., None, None, :] * (zdotzd[..., :, None] * zdotzd[..., None, :]
-                                            * inv_r5[..., None, None])[..., None])
-    pw = pointwise_geometry(y, yd, ydd, immersion.ambient)
-    area, f = _node_densities(pw, immersion.basis.chart_weights)
-    return float(np.sum(area)), float(np.sum(f))
+    return _path_energies(immersion, w, t, immersion.ambient.retract)
 
 
 def fd_first(path_fn, h=1e-3):

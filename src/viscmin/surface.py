@@ -568,51 +568,48 @@ def random_variation(immersion, seed, amplitude=1.0, band=None, tangent=False):
 # normal frames
 # ---------------------------------------------------------------------------
 
-def _cross4(a, b, c):
-    """Generalized cross product in R^4: the vector orthogonal to a, b, c
-    with components from the Levi-Civita expansion (orientation-coherent)."""
-    m = np.stack([a, b, c], axis=-2)  # (N, 3, 4)
-    out = np.empty(a.shape[:-1] + (4,))
-    sign = 1.0
-    for alpha in range(4):
-        keep = [j for j in range(4) if j != alpha]
-        out[..., alpha] = sign * np.linalg.det(m[..., keep])
-        sign = -sign
+def _cross(*vectors):
+    """Generalized cross product of Q - 1 vectors in R^Q, by the
+    Levi-Civita expansion (orientation-coherent); np.cross in R^3."""
+    if len(vectors) == 2:
+        return np.cross(*vectors)
+    m = np.stack(vectors, axis=-2)  # (N, Q - 1, Q)
+    Q = m.shape[-1]
+    out = np.empty(m.shape[:-2] + (Q,))
+    for alpha in range(Q):
+        keep = [j for j in range(Q) if j != alpha]
+        out[..., alpha] = (-1.0) ** alpha * np.linalg.det(m[..., keep])
     return out
 
 
 def normal_frame(immersion):
     """Orthonormal frames of the normal bundle, one (N, Q) array per field.
 
-    Codimension 1 (sphere ambient in R^4, Euclidean R^3): a single field from
-    the generalized cross product, smooth and deterministic. Euclidean R^4
-    (codimension 2): first field is the normalized normal part of the
-    position vector, second completes via the cross product; presets keep
-    the first seed bounded away from zero.
+    In codimension c = dim - frame_size, the first c - 1 fields are the
+    normalized normal parts of the ambient's normal_seeds (DegenerateMetric
+    where one is shorter than 0.1 x its seed), the last the generalized
+    cross product of the tangent frame (P_u, P_v[, Phi]) and those fields.
     """
     geom = immersion.geometry
     P, Pd, _ = immersion.derivatives()
-    P1, P2 = Pd[..., 0, :], Pd[..., 1, :]
     amb = immersion.ambient
-    if amb.kind == "sphere" and amb.dim == 4:
-        nu = _cross4(P1, P2, P)
-        return [nu / np.linalg.norm(nu, axis=-1, keepdims=True)]
-    if amb.kind == "euclidean" and amb.dim == 3:
-        nu = np.cross(P1, P2)
-        return [nu / np.linalg.norm(nu, axis=-1, keepdims=True)]
-    if amb.kind == "euclidean" and amb.dim == 4:
-        nu1 = geom.project_normal(P)
-        norms = np.linalg.norm(nu1, axis=-1)
-        if np.min(norms) < 0.1:
+    needed = amb.dim - amb.frame_size - 1
+    seeds = amb.normal_seeds(P)
+    if len(seeds) < needed:
+        raise ShapeMismatch(
+            f"no normal frame recipe for {amb.kind} ambient of dim {amb.dim}")
+    frame = []
+    for seed in seeds[:needed]:
+        nu = geom.project_normal(seed)
+        norms = np.linalg.norm(nu, axis=-1)
+        if np.any(norms < 0.1 * np.linalg.norm(seed, axis=-1)):
             raise DegenerateMetric(
-                "position vector nearly tangent somewhere; no canonical "
+                "normal frame seed nearly tangent somewhere; no canonical "
                 "normal frame for this surface")
-        nu1 = nu1 / norms[..., None]
-        nu2 = _cross4(P1, P2, nu1)
-        nu2 = nu2 / np.linalg.norm(nu2, axis=-1, keepdims=True)
-        return [nu1, nu2]
-    raise ShapeMismatch(
-        f"no normal frame recipe for {amb.kind} ambient of dim {amb.dim}")
+        frame.append(nu / norms[..., None])
+    tangent = [Pd[..., 0, :], Pd[..., 1, :], P][:amb.frame_size]
+    nu = _cross(*tangent, *frame)
+    return frame + [nu / np.linalg.norm(nu, axis=-1, keepdims=True)]
 
 
 # ---------------------------------------------------------------------------

@@ -57,3 +57,22 @@ def test_ambient_from_dict_round_trip():
 def test_every_preset_lies_on_its_ambient(name, resolution):
     im = surface.make_preset(name, resolution)
     assert im.ambient.contains(im.samples())
+
+
+def test_retract_is_the_identity_in_flat_space(clifford_r4):
+    triple = clifford_r4.derivatives()
+    for back, x in zip(Euclidean(4).retract(*triple), triple):
+        assert back is x
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.7])
+def test_retract_reproduces_a_map_on_the_sphere(clifford, clifford_s4,
+                                                scale):
+    # z / |z| of a map on the sphere, or of a multiple of it, is the map,
+    # and the chain rule gives back its chart derivatives
+    for im in (clifford, clifford_s4):
+        triple = im.derivatives()
+        back = im.ambient.retract(*(scale * x for x in triple))
+        for y, x in zip(back, triple):
+            assert np.max(np.abs(y - x)) <= 1e-12 * max(1.0,
+                                                        np.max(np.abs(x)))

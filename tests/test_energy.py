@@ -114,18 +114,24 @@ def test_second_variation_polarization_symmetric(clifford):
     assert_allclose(ab["d2_f"], ba["d2_f"], rtol=1e-10)
 
 
-def test_constrained_second_variation_matches_projected_fd(clifford):
-    # constrained form against the independent radially-projected path
+def test_constrained_second_variation_matches_projected_fd(
+        clifford, equator_s4, round_sphere):
+    # constrained form against the independent retracted path, in S^3, in
+    # codimension two in S^4 and in flat R^3 (where both are the free ones);
+    # at amplitude 0.01 the equator's second variations are near 1e-3 and
+    # the difference quotient's rounding floor (3e-8) is 3e-5 of them
     sigma = 0.3
-    for seed in range(3):
-        w = surface.random_variation(clifford, seed=seed, amplitude=0.01,
-                                     band=2, tangent=True)
-        an = energy.second_variation_constrained(clifford, w, sigma=sigma)
-        fd = (energy.fd_second(
-            lambda t: energy.projected_path_energies(clifford, w, t)[0])
-            + sigma ** 2 * energy.fd_second(
-                lambda t: energy.projected_path_energies(clifford, w, t)[1]))
-        assert_allclose(an, fd, rtol=1e-5, atol=1e-9)
+    for im, amplitude in ((clifford, 0.01), (equator_s4, 0.1),
+                          (round_sphere, 0.1)):
+        for seed in range(3):
+            w = surface.random_variation(im, seed=seed, amplitude=amplitude,
+                                         band=2, tangent=True)
+            an = energy.second_variation_constrained(im, w, sigma=sigma)
+            fd = (energy.fd_second(
+                lambda t: energy.projected_path_energies(im, w, t)[0])
+                + sigma ** 2 * energy.fd_second(
+                    lambda t: energy.projected_path_energies(im, w, t)[1]))
+            assert_allclose(an, fd, rtol=1e-5, atol=1e-9)
 
 
 def test_paths_agree_at_zero(clifford):

@@ -39,6 +39,22 @@ def test_clifford_spectrum(clifford):
     assert_allclose(neg, [-4.0, -2.0, -2.0, -2.0, -2.0], atol=1e-6)
 
 
+def test_spectrum_scales_with_a_small_torus_in_r4(clifford_r4):
+    # the frame seed, the position vector, is held against its own length:
+    # a Clifford torus of radius 0.05 keeps its frame, and its spectrum is
+    # the unit torus's over 0.05^2
+    scale = 0.05
+    small = surface.SampledImmersion.from_samples(
+        clifford_r4.ambient, clifford_r4.topology, clifford_r4.basis,
+        scale * clifford_r4.samples())
+    ref = morse.jacobi_spectrum(clifford_r4, 0.0, cutoff=2,
+                                warn_critical=False)
+    rep = morse.jacobi_spectrum(small, 0.0, cutoff=2, warn_critical=False)
+    assert (rep.index, rep.nullity) == (ref.index, ref.nullity) == (1, 4)
+    assert_allclose(rep.eigenvalues * scale ** 2, ref.eigenvalues,
+                    rtol=0, atol=1e-12)
+
+
 def test_index_stabilizes_under_basis_growth(equator):
     a = morse.jacobi_spectrum(equator, 0.0, cutoff=3, warn_critical=False)
     b = morse.jacobi_spectrum(equator, 0.0, cutoff=5, warn_critical=False)

@@ -6,8 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from viscmin import morse, surface
+from viscmin.ambient import Euclidean, UnitSphere
 from viscmin.errors import (DegenerateMetric, OffManifold, ResolutionTooLow,
-                            UnknownPreset)
+                            ShapeMismatch, UnknownPreset)
 from viscmin.fourier import FourierBasis
 from viscmin.jets import Jet2
 
@@ -125,9 +126,11 @@ def test_marked_point_on_torus(clifford):
     assert_allclose(pts[0], [0.0, 0.0], atol=0)
 
 
-def test_normal_frame_orthonormal(clifford, round_sphere):
-    for im in (clifford, round_sphere):
+def test_normal_frame_orthonormal(clifford, round_sphere, clifford_r4,
+                                  clifford_s4, equator_s4):
+    for im in (clifford, round_sphere, clifford_r4, clifford_s4, equator_s4):
         frame = surface.normal_frame(im)
+        assert len(frame) == im.ambient.dim - im.ambient.frame_size
         geom = im.geometry
         for a in range(len(frame)):
             # unit length, normal to the surface
@@ -138,6 +141,27 @@ def test_normal_frame_orthonormal(clifford, round_sphere):
             for b in range(a):
                 dot = np.sum(frame[a] * frame[b], axis=-1)
                 assert np.max(np.abs(dot)) <= 1e-10
+
+
+def test_normal_frame_needs_a_seed_off_the_tangent_space(equator):
+    # a great S^2 in the (e_1, e_2, e_Q) plane of S^4: e_Q, the sphere's
+    # frame seed, lies in the span of the tangent plane and the position
+    # vector, so its normal part vanishes everywhere
+    x, y, z = equator.samples()[:, :3].T
+    zero = np.zeros_like(x)
+    great = surface.SampledImmersion.from_samples(
+        UnitSphere(5), equator.topology, equator.basis,
+        np.column_stack([x, y, zero, zero, z]))
+    with pytest.raises(DegenerateMetric):
+        surface.normal_frame(great)
+    # flat R^5 has codimension 3 and one seed: no recipe
+    sphere = surface.make_preset("round_sphere_r3", resolution=12)
+    flat = surface.SampledImmersion.from_samples(
+        Euclidean(5), sphere.topology, sphere.basis,
+        np.column_stack([sphere.samples(), np.zeros((sphere.basis.num_nodes,
+                                                     2))]))
+    with pytest.raises(ShapeMismatch):
+        surface.normal_frame(flat)
 
 
 def test_brioschi_matches_gauss_curvature(clifford):
