@@ -10,16 +10,18 @@ Three independent evaluation routes coexist on purpose:
 * exact derivatives for second variations (no truncation error, uniform
   over ambients).  The hessian kernels behind every spectrum take the
   gradient and hessian of the node densities as functions of the 21 dot
-  products of each node's six vectors by a second-order adjoint, plus
-  kappa times the retraction form (the Gram route, _node_kernels,
-  block by block in _node_kernel_blocks, which the Newton diagonal
-  contracts as it goes); the order-2 vector jets of the
-  pointwise geometry pipeline along whole fields
-  (second_variation_ambient, batched_quadratic) stay as their oracle.
-  Both routes run one density algebra (surface._frame_cofactors and
-  surface._ii_norm2) and differ only in how they form the normal
-  pairings: Schur complements of the Gram matrix against dot products of
-  projected vectors;
+  products of each node's six vectors, plus kappa times the retraction
+  form (the Gram route, _node_kernels, block by block in
+  _node_kernel_blocks, which the Newton diagonal contracts as it goes).
+  At node vectors whose second derivatives are sheared off the frame,
+  nine of those products (the metric and the normal pairings) carry a
+  second-order adjoint and the cross products a closed-form block; the
+  order-2 vector jets of the pointwise geometry pipeline along whole
+  fields (second_variation_ambient, batched_quadratic) stay as their
+  oracle.  Both routes run one density algebra (surface._ii_norm2 and
+  _node_densities) and differ only in how they form the normal
+  pairings: plain dot products of sheared vectors against dot products
+  of projected vectors;
 * plain path evaluators (energies of the deformed map at finite t, the
   constrained path through the ambient's retract) that feed the
   finite-difference oracles in the tests and the variation-check CLI.
@@ -331,21 +333,35 @@ def batched_linear(immersion, V, Vd, Vdd, sigma):
 # With J = dGamma/dx, linear in the node vectors,
 #     K = J^T (d2 phi) J + (D (x) I_Q),    g = J^T (d phi),
 # where D_pq = d phi / d Gamma_pq off the diagonal and twice that on it
-# (along a line, Gamma_pq has second derivative 2 dX_p . dX_q).  The
-# gradient and 21 x 21 hessian of phi come from jets.gradient_hessian: one
-# forward pass with tangents along the 21 Gram entries and one reverse
-# sweep, for both densities at once.
+# (along a line, Gamma_pq has second derivative 2 dX_p . dX_q).
+#
+# phi reads the second-derivative slots X_a (a = uu, uv, vv) only through
+# their normal pairings N_ab = Gamma_ab - c_a^T F^-1 c_b, with F the Gram
+# matrix of the frame and c_fa = X_f . X_a the cross entries, so
+# phi = psi(g11, g12, g22, N) for the density algebra psi of
+# _nine_entry_densities.  The kernels are taken where the cross entries
+# vanish (_gram_coordinates), and there dN/dc and dN/dF vanish too: the
+# gradient of phi is psi's on its nine entries and 0 elsewhere, and the
+# hessian is psi's 9 x 9 hessian plus the cross block
+#     d2 phi / dc_fa dc_hb = -S_ab (F^-1)_fh,
+# with S_ab = d psi / dN_ab off the diagonal and twice that on it.  psi's
+# gradient and hessian come from jets.gradient_hessian: one forward pass
+# with tangents along the nine entries and one reverse sweep, for both
+# densities at once.
 
 # nodes per block of the kernel pass; does not change any result.  A
-# block's pass is about 170 values of Python arithmetic, a fixed overhead
-# that larger blocks amortize, until past a few hundred nodes a value's
-# tangent arrays outgrow the cache (equator at degree 16 on a 2-core
-# machine, one thread: 0.12, 0.094, 0.083 and 0.087 s per pass with 64,
-# 128, 256 and 528 nodes)
+# block's pass is about 45 values of Python arithmetic and a few dozen
+# small array operations, a fixed overhead that larger blocks amortize,
+# until past a few hundred nodes the per-node arrays of the pull-back
+# outgrow the cache (equator at degree 16 on a 2-core machine, one
+# thread: 0.039, 0.035, 0.030 and 0.036 s per pass with 64, 128, 256 and
+# 528 nodes)
 _NODE_BLOCK = 256
 
-# the Gram entries (p, q), p <= q, in the order of the adjoint's inputs
-_GRAM_P, _GRAM_Q = np.triu_indices(6)
+# psi's nine Gram entries (p, q) in the order of the adjoint's inputs: the
+# metric (P_u, P_v) and the normal pairings of (P_uu, P_uv, P_vv)
+_PSI_P = np.array([1, 1, 2, 3, 3, 3, 4, 4, 5])
+_PSI_Q = np.array([1, 2, 2, 3, 4, 5, 4, 5, 5])
 
 
 def node_coordinates(W, Wd, Wdd):
@@ -356,35 +372,18 @@ def node_coordinates(W, Wd, Wdd):
                            Wdd[..., 1, 1, :]], axis=-1)
 
 
-def _gram_densities(G, frame_size, weights):
-    """Per-node (area, f) densities from the Gram matrix of the node vectors.
-
-    G[p][q] = X_p . X_q for the node vectors (P, P_u, P_v, P_uu, P_uv,
-    P_vv), as plain values, jets or adjoint values, with G[q][p] the same
-    object.  The density algebra is pointwise_geometry's
-    (surface._frame_cofactors and surface._ii_norm2); only the normal
-    pairings are formed differently, as Schur complements of the Gram
-    matrix instead of dot products of projected vectors:
-        N_ab = G_ab - c_a^T cof c_b / det_frame,   c_a = (X_f . X_a),
-    with cof and det_frame the cofactors and determinant of the frame's
-    Gram matrix and f running over the frame.
+def _nine_entry_densities(entries, weights):
+    """Per-node (area, f) densities psi from the metric and the normal
+    pairings: entries (g11, g12, g22, N_00, N_01, N_02, N_11, N_12, N_22)
+    in the order of _PSI_P, _PSI_Q, as plain values or adjoint values,
+    with N_ab the pairing of the normal parts of slots a, b of (uu, uv,
+    vv).  The algebra is pointwise_geometry's (surface._ii_norm2 and
+    _node_densities).
     """
-    g11, g12, g22 = G[1][1], G[1][2], G[2][2]
-    frame, s = (1, 2), None
-    if frame_size == 3:
-        frame, s = (1, 2, 0), (G[1][0], G[2][0], G[0][0])
-    cof, det_frame = _frame_cofactors(g11, g12, g22, s)
-    det = det_frame if s is None else cof[2][2]
-    inv_frame = 1.0 / det_frame
-    cross = [[G[f][a] for f in frame] for a in (3, 4, 5)]
-    adj = [[sum(c * x for c, x in zip(row, cr)) for row in cof]
-           for cr in cross]
-
-    def normal(a, b):
-        proj = sum(x * y for x, y in zip(cross[a], adj[b]))
-        return G[3 + a][3 + b] - proj * inv_frame
-
-    II2 = _ii_norm2(g11, g12, g22, det, normal)
+    g11, g12, g22, n00, n01, n02, n11, n12, n22 = entries
+    normal = ((n00, n01, n02), (n01, n11, n12), (n02, n12, n22))
+    det = g11 * g22 - g12 * g12
+    II2 = _ii_norm2(g11, g12, g22, det, lambda a, b: normal[a][b])
     return _node_densities({"sqrt_det": jet_sqrt(det), "II2": II2}, weights)
 
 
@@ -396,10 +395,11 @@ def _gram_coordinates(X, frame):
     the slots) and phi(X) = scale * phi(X') for both densities:
     * the second-derivative slots are sheared off the frame, X_a - sum_f
       c_fa X_f with c the least-squares coefficients of X_a on the frame
-      vectors.  The densities see X_a only through its normal part, so
-      they do not change, and the Gram route pairs nearly normal vectors
-      instead of subtracting large tangential parts, as it must next to
-      the poles of the sphere chart;
+      vectors, found twice: the second pass solves against what the first
+      leaves, which brings the cross entries X'_f . X'_a from about 1e-10
+      to roundoff of |X'_f| |X'_a| next to the poles of the sphere chart.
+      The densities see X_a only through its normal part, so they do not
+      change, and at X' the cross entries the kernels drop are zero;
     * the chart is scaled by powers of two, u -> 2^-a u and v -> 2^-b v,
       so that |X'_u| and |X'_v| lie in [1/2, 1) and the Gram matrix is not
       badly scaled where the sphere chart's metric degenerates.  |II|^2
@@ -407,12 +407,13 @@ def _gram_coordinates(X, frame):
       2^(a+b); the scaling is exact in floating point.
     """
     F = X[:, frame]
-    coef = np.linalg.solve(np.einsum("nfq,nhq->nfh", F, F),
-                           np.einsum("nfq,naq->nfa", F, X[:, 3:]))
+    FF = np.einsum("nfq,nhq->nfh", F, F)
     L = np.broadcast_to(np.eye(6), (len(X), 6, 6)).copy()
-    L[:, 3:, frame] = -np.swapaxes(coef, 1, 2)
     Xs = X.copy()
-    Xs[:, 3:] -= np.einsum("nfa,nfq->naq", coef, F)
+    for _ in range(2):
+        coef = np.linalg.solve(FF, np.einsum("nfq,naq->nfa", F, Xs[:, 3:]))
+        L[:, 3:, frame] -= np.swapaxes(coef, 1, 2)
+        Xs[:, 3:] -= np.einsum("nfa,nfq->naq", coef, F)
     _, a = np.frexp(np.sqrt(np.sum(X[:, 1] * X[:, 1], axis=-1)))
     _, b = np.frexp(np.sqrt(np.sum(X[:, 2] * X[:, 2], axis=-1)))
     s = np.ldexp(1.0, -np.stack([0 * a, a, b, 2 * a, a + b, 2 * b], -1))
@@ -426,17 +427,21 @@ def _node_kernel_blocks(immersion):
     Yields (lo, hi, K_area, K_f, g_area, g_f) for consecutive blocks of
     _NODE_BLOCK nodes, with K of shape (hi - lo, 6Q, 6Q) and g of shape
     (hi - lo, 6Q), in the coordinates of node_coordinates.  Each density
-    is phi(Gamma) of the node Gram matrix (_gram_densities), evaluated at
-    the node vectors X' = L X of _gram_coordinates.  A second-order
-    adjoint over the 21 Gram entries (jets.gradient_hessian) gives the
-    gradient and hessian of both densities, the hessian symmetrized, and
+    is phi(Gamma) of the node Gram matrix, evaluated at the node vectors
+    X' = L X of _gram_coordinates, where the cross entries vanish.  A
+    second-order adjoint over psi's nine entries (_nine_entry_densities,
+    jets.gradient_hessian) gives the gradient and the hessian of both
+    densities, the hessian symmetrized and joined by the closed-form
+    cross block, and
         K = J^T d2phi J + (L^T D L + r) (x) I_Q,    g = J^T dphi,
-    with J = J'(L (x) I_Q), pull them back to the node coordinates; r is
-    kappa times the retraction form of g (_retraction_kernel), so K is the
-    kernel of the constrained hessian.  The arrays are fresh for each
-    block and belong to the caller; a node's kernels do not depend on the
-    block it is in.  The cost does not depend on any variation basis, and
-    on Q only through the pull-back.
+    with J = J'(L (x) I_Q) over the Gram entries whose rows of d2phi are
+    not zero (the nine and the cross entries), pull them back to the node
+    coordinates; r is kappa times the retraction form of g
+    (_retraction_kernel), so K is the kernel of the constrained hessian.
+    The arrays are fresh for each block and belong to the caller; a
+    node's kernels do not depend on the block it is in.  The cost does
+    not depend on any variation basis, and on Q only through the
+    pull-back.
     """
     Q = immersion.ambient.dim
     n = 6 * Q
@@ -446,39 +451,49 @@ def _node_kernel_blocks(immersion):
     frame = [1, 2, 0][:frame_size]
     X = node_coordinates(*immersion.derivatives()).reshape(N, 6, Q)
     weights = immersion.basis.chart_weights
-    entries = np.arange(len(_GRAM_P))
+    # rows of d2phi: psi's nine entries, then the cross entries (f, a),
+    # a-major, so that the cross block is -S (x) F^-1
+    rows_p = np.concatenate([_PSI_P, np.tile(frame, 3)])
+    rows_q = np.concatenate([_PSI_Q, np.repeat([3, 4, 5], frame_size)])
+    rows = np.arange(len(rows_p))
+    nine, cross = slice(0, 9), slice(9, None)
 
     for lo in range(0, N, _NODE_BLOCK):
         hi = min(N, lo + _NODE_BLOCK)
+        B = hi - lo
         Xs, L, scale = _gram_coordinates(X[lo:hi], frame)
         gram = np.sum(Xs[:, :, None, :] * Xs[:, None, :, :], axis=-1)
         w = weights[lo:hi] * scale
-
-        def densities(entry):
-            G = [[None] * 6 for _ in range(6)]
-            for x, p, q in zip(entry, _GRAM_P, _GRAM_Q):
-                G[p][q] = G[q][p] = x
-            return _gram_densities(G, frame_size, w)
-
         _, grads, hessians = gradient_hessian(
-            densities, [gram[:, p, q] for p, q in zip(_GRAM_P, _GRAM_Q)])
+            lambda x: _nine_entry_densities(x, w), gram[:, _PSI_P, _PSI_Q].T)
+        # the inverse Gram matrix of the frame, in the order of frame
+        s = None if frame_size == 2 else (gram[:, 1, 0], gram[:, 2, 0],
+                                          gram[:, 0, 0])
+        cof, det_frame = _frame_cofactors(gram[:, 1, 1], gram[:, 1, 2],
+                                          gram[:, 2, 2], s)
+        F_inv = np.moveaxis(np.array(cof), -1, 0) / det_frame[:, None, None]
         # row (p, q) of J' holds X'_q in slot p and X'_p in slot q
-        Jp = np.zeros((hi - lo, len(entries), 6, Q))
-        Jp[:, entries, _GRAM_Q] = Xs[:, _GRAM_P]
-        Jp[:, entries, _GRAM_P] += Xs[:, _GRAM_Q]
-        J = (np.swapaxes(L, 1, 2)[:, None] @ Jp).reshape(hi - lo, -1, n)
+        Jp = np.zeros((B, len(rows), 6, Q))
+        Jp[:, rows, rows_q] = Xs[:, rows_p]
+        Jp[:, rows, rows_p] += Xs[:, rows_q]
+        J = (np.swapaxes(L, 1, 2)[:, None] @ Jp).reshape(B, -1, n)
         Jt = np.swapaxes(J, 1, 2)
         kernels, gradients = [], []
-        for dphi, h in zip(grads, hessians):
-            dphi = dphi.T
-            h = np.moveaxis(h, -1, 0)
-            hess = 0.5 * (h + np.swapaxes(h, 1, 2))
-            D = np.empty((hi - lo, 6, 6))
-            D[:, _GRAM_P, _GRAM_Q] = dphi
-            D[:, _GRAM_Q, _GRAM_P] = dphi
+        for dpsi, h in zip(grads, hessians):
+            dpsi = dpsi.T
+            D = np.zeros((B, 6, 6))
+            D[:, _PSI_P, _PSI_Q] = dpsi
+            D[:, _PSI_Q, _PSI_P] = dpsi
             D[:, range(6), range(6)] *= 2.0
+            h = np.moveaxis(h, -1, 0)
+            hess = np.zeros((B, len(rows), len(rows)))
+            hess[:, nine, nine] = 0.5 * (h + np.swapaxes(h, 1, 2))
+            S = D[:, 3:, 3:]
+            hess[:, cross, cross] = -(
+                S[:, :, None, :, None] * F_inv[:, None, :, None, :]
+            ).reshape(B, 3 * frame_size, 3 * frame_size)
             K = Jt @ (hess @ J)
-            g = (Jt @ dphi[..., None])[..., 0]
+            g = (Jt[:, :, nine] @ dpsi[..., None])[..., 0]
             r = np.swapaxes(L, 1, 2) @ D @ L
             r += kappa * _retraction_kernel(X[lo:hi], g)
             _add_kron_identity(K, r)

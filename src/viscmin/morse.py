@@ -134,8 +134,10 @@ def sigma_pencil(immersion, basis):
     """
     K_area, K_f, g_area, g_f = energy._node_kernels(immersion)
     Y = energy.node_coordinates(*basis.triples())
-    H_area, H_f = (np.einsum("anp,npq,bnq->ab", Y, K, Y, optimize=True)
-                   for K in (K_area, K_f))
+    # (Y K) node by node, then one matmul of its rows against Y's rows
+    Y_nodes, Y_rows = np.swapaxes(Y, 0, 1), Y.reshape(len(Y), -1)
+    H_area, H_f = (np.swapaxes(Y_nodes @ K, 0, 1).reshape(Y_rows.shape)
+                   @ Y_rows.T for K in (K_area, K_f))
     grad_area, grad_f = (np.einsum("anp,np->a", Y, g)
                          for g in (g_area, g_f))
     return (0.5 * (H_area + H_area.T), 0.5 * (H_f + H_f.T), basis.gram(),

@@ -15,7 +15,9 @@ The node density algebra is written once, for both routes: the cofactors
 and determinant of the frame's Gram matrix (_frame_cofactors) and the
 six-term |II|^2 (_ii_norm2).  The routes differ only in how they pair the
 normal parts of the second derivatives: here as dot products of projected
-vectors, in the Gram route as Schur complements of the node Gram matrix.
+vectors, in the Gram route as dot products of second derivatives sheared
+off the frame, whose inverse Gram matrix enters only the kernels' closed
+cross block.
 """
 
 import numpy as np

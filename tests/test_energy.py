@@ -242,14 +242,43 @@ def test_gram_kernels_match_vector_jets_per_node(request, name):
         axes = tuple(range(1, ref.ndim))
         err = np.max(np.abs(new - ref), axis=axes)
         assert np.all(err <= 1e-13 * np.max(np.abs(ref), axis=axes))
-    # the Gram densities are pointwise_geometry's densities
+    # the nine-entry densities at the sheared and scaled node vectors,
+    # times their scale, are pointwise_geometry's densities
     P, Pd, Pdd = im.derivatives()
-    X = energy.node_coordinates(P, Pd, Pdd).reshape(len(P), 6, -1)
-    G = [[np.sum(X[:, p] * X[:, q], axis=-1) for q in range(6)]
-         for p in range(6)]
+    _, Xs, _, scale, _ = _sheared_node_vectors(im)
     weights = im.basis.chart_weights
-    gram = energy._gram_densities(G, im.ambient.frame_size, weights)
+    nine = energy._nine_entry_densities(
+        [np.sum(Xs[:, p] * Xs[:, q], axis=-1)
+         for p, q in zip(energy._PSI_P, energy._PSI_Q)], weights * scale)
     ref = energy._node_densities(
         surface.pointwise_geometry(P, Pd, Pdd, im.ambient), weights)
-    for a, b in zip(gram, ref):
+    for a, b in zip(nine, ref):
         assert_allclose(a, b, rtol=1e-12, atol=0)
+
+
+def _sheared_node_vectors(im):
+    """(X, X', L, scale, frame) of energy._gram_coordinates over every
+    node, with the frame slots of im's ambient."""
+    X = energy.node_coordinates(*im.derivatives()).reshape(
+        im.basis.num_nodes, 6, -1)
+    frame = [1, 2, 0][:im.ambient.frame_size]
+    return (X, *energy._gram_coordinates(X, frame), frame)
+
+
+@pytest.mark.parametrize("name", ["perturbed_equator", "perturbed_clifford",
+                                  "equator"])
+def test_shear_leaves_no_cross_gram_entries(request, name):
+    # the kernels drop the first-order term of the cross entries
+    # X'_f . X'_a, so the shear must leave them at roundoff of |X'_f| |X'_a|
+    # next to the poles of the sphere chart too; |X'_a| is floored at
+    # roundoff of the slot before the shear, since on the totally geodesic
+    # equator the normal parts are roundoff themselves
+    im = request.getfixturevalue(name)
+    X, Xs, L, _, frame = _sheared_node_vectors(im)
+    F, A = Xs[:, frame], Xs[:, 3:]
+    cross = np.einsum("nfq,naq->nfa", F, A)
+    before = L[:, range(3, 6), range(3, 6), None] * X[:, 3:]
+    normal = (np.linalg.norm(A, axis=-1)
+              + np.finfo(float).eps * np.linalg.norm(before, axis=-1))
+    size = np.linalg.norm(F, axis=-1)[:, :, None] * normal[:, None, :]
+    assert np.max(np.abs(cross) / size) <= 1e-15
