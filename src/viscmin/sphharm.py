@@ -14,10 +14,21 @@ the fully normalised associated Legendre functions without the
 Condon-Shortley phase, from the standard sectoral and three-term
 recurrences (Holmes & Featherstone, J. Geodesy 76, 2002); their theta
 derivatives come from the ladder relation between neighbouring orders,
-which never divides by sin(theta), and the phi derivatives are written
-out.  So the tables are exact spectral derivatives at any point, poles
-included, and need numpy only.  These are the usual real combinations
-sqrt2 (-1)^m Re/Im Y_l^m of the complex harmonics.
+which never divides by sin(theta), and the phi derivatives are factors
+(i m)^b.  These are the usual real combinations sqrt2 (-1)^m Re/Im Y_l^m
+of the complex harmonics.
+
+On the grid the basis holds no table of the harmonics, only the
+theta-factors and their two theta derivatives on the 2L latitude rings,
+[3, L+1, 2L, L+1] doubles (5.5 MB at degree 48).  fit takes a real FFT in
+phi on each ring and then one Gauss-weighted Legendre sum per order m;
+evaluate takes one Legendre sum per order and one inverse real FFT per
+ring (the separable transform of Driscoll & Healy, Adv. Appl. Math. 15,
+1994): O(L^3) memory and O(L^3) work per field, against 24 L^4 doubles
+for a dense table of the six chart slots.  At arbitrary points,
+evaluate_at and real_modes tabulate the one slot they need per point
+(_real_tables).  Both routes are exact spectral derivatives, poles
+included, and need numpy only.
 
 The basis is the genus-0 chart, and it answers every chart question itself:
 genus, resolution (the degree L that the constructor and resample take),
@@ -74,32 +85,55 @@ def _theta_derivative(T):
     return out
 
 
-def _real_tables(L, theta, phi):
-    """Stack [K, 6, npts] of R_k and its chart derivatives at given points.
+def _chart_order(deriv):
+    """(theta order, phi order) of one of the six chart slots.
+
+    Raises ShapeMismatch for any other order: the tables carry derivatives
+    up to second order only.
+    """
+    order = tuple(deriv)
+    if order not in _DERIV_SLOT:
+        raise ShapeMismatch(
+            f"the sphere chart has no derivative of order {order}; it gives "
+            f"the orders (a, b) with a + b <= 2")
+    return order
+
+
+def _real_tables(L, theta, phi, derivs=tuple(_DERIV_SLOT)):
+    """Stack [K, len(derivs), npts] of R_k's chart derivatives at given points.
 
     The theta-factors are computed once per distinct theta (2L of them on
-    the product grid) and each table entry is one product of a theta-factor
-    with a phi-factor; rows run l^2 + l + m.
+    the product grid), only up to the highest theta order asked for, and
+    each table entry is one product of a theta-factor with a phi-factor;
+    rows run l^2 + l + m.  A slot's entries do not depend on which other
+    slots are asked for.
     """
     theta_u, inv = np.unique(theta, return_inverse=True)
-    t0 = _theta_factors(L, theta_u)
-    t1 = _theta_derivative(t0)
-    t2 = _theta_derivative(t1)
+    factors = [_theta_factors(L, theta_u)]
+    while len(factors) <= max(a for a, _ in derivs):
+        factors.append(_theta_derivative(factors[-1]))
     m = np.arange(L + 1)[:, None]
     c = np.sqrt(2.0) * np.cos(m * phi)
     s = np.sqrt(2.0) * np.sin(m * phi)
     c[0], s[0] = 1.0, 0.0
-    # per slot: which theta-factor, and the phi-factor of the rows m >= 0
-    # (cos) and m < 0 (sin)
-    slots = [(0, c, s), (1, c, s), (0, -m * s, m * c), (2, c, s),
-             (1, -m * s, m * c), (0, -m * m * c, -m * m * s)]
-    out = np.empty(((L + 1) ** 2, 6, theta.size))
+
+    def phi_factors(b):
+        # the phi-factors of the rows m >= 0 (cos) and m < 0 (sin)
+        if b == 0:
+            return c, s
+        if b == 1:
+            return -m * s, m * c
+        return -m * m * c, -m * m * s
+
+    by_order = {b: phi_factors(b) for _, b in derivs}
+    out = np.empty(((L + 1) ** 2, len(derivs), theta.size))
     for ell in range(L + 1):
-        t = [f[ell, :ell + 1][:, inv] for f in (t0, t1, t2)]
+        t = [f[ell, :ell + 1][:, inv] for f in factors]
         block = out[ell * ell:(ell + 1) ** 2]
-        for slot, (k, cos_f, sin_f) in enumerate(slots):
-            np.multiply(t[k], cos_f[:ell + 1], out=block[ell:, slot])
-            np.multiply(t[k][1:], sin_f[1:ell + 1],
+        for slot, (a, b) in enumerate(derivs):
+            cos_f, sin_f = by_order[b]
+            np.multiply(t[a], cos_f[:ell + 1], out=block[ell:, slot])
+            np.multiply(t[a][1:], sin_f[1:ell + 1],
                         out=block[:ell][::-1, slot])
     return out
 
@@ -130,8 +164,24 @@ class SphHarmBasis:
         self.chart_weights = w_nodes / sin_t
         # round-measure weights: integrate f sin(theta) dtheta dphi
         self._round_weights = w_nodes
-        self._tables = _real_tables(L, self.grid_points[:, 0],
-                                    self.grid_points[:, 1])
+        # theta-factors and their two theta derivatives on the rings, as
+        # [theta order, m, ring, l], with the sqrt2 of the m > 0 rows
+        t0 = _theta_factors(L, theta)
+        t1 = _theta_derivative(t0)
+        stack = np.stack([t0, t1, _theta_derivative(t1)])[:, :, :L + 1]
+        self._legendre = np.ascontiguousarray(stack.transpose(0, 2, 3, 1))
+        self._legendre[:, 1:] *= np.sqrt(2.0)
+        # coefficient row k holds the real (cos) or, negated, the imaginary
+        # (sin) part of the order-m spectrum gamma_{l,m} = c_{l,m} - i c_{l,-m}
+        ell = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+        m = np.arange(self.mode_count) - ell * ell - ell
+        self._spectrum_index = (np.abs(m), ell, (m < 0).astype(int))
+        self._spectrum_sign = np.where(m < 0, -1.0, 1.0)[:, None]
+        # (i m)^b per phi order b, halved for m > 0: a real inverse FFT
+        # counts each of those bins twice
+        orders = np.arange(L + 1)
+        half = np.where(orders == 0, 1.0, 0.5)
+        self._phi_factors = [half * (1j * orders) ** b for b in range(3)]
 
     @classmethod
     def of_degree(cls, degree):
@@ -151,14 +201,36 @@ class SphHarmBasis:
         """Real harmonics of degree <= cutoff on the grid, with labels.
 
         Returns (samples (K, N), labels), row l^2 + l + m for Y(l, m),
-        read off the tables; orthonormal on the round sphere.
+        tabulated at the grid nodes as evaluate_at does; orthonormal on the
+        round sphere.
         """
         c = min(cutoff, self.degree)
         labels = [f"Y({ell},{m})" for ell in range(c + 1)
                   for m in range(-ell, ell + 1)]
-        return self._tables[:(c + 1) ** 2, 0].copy(), labels
+        theta, phi = self.grid_points.T
+        return _real_tables(c, theta, phi, [(0, 0)])[:, 0], labels
 
     # -- transforms ----------------------------------------------------------
+    #
+    # Each Legendre sum is a two-operand einsum, which accumulates every
+    # field column on its own, so a field's values do not depend on how
+    # many fields share the call (a stacked matmul does not keep that).
+
+    def _spectra(self, flat):
+        """Order spectra [m, l, width] of coefficient rows (K, width):
+        gamma_{l,m} = c_{l,m} - i c_{l,-m}, zero where l < m."""
+        L = self.degree
+        spectra = np.zeros((L + 1, L + 1, flat.shape[1]), dtype=complex)
+        m, ell, part = self._spectrum_index
+        spectra.view(float).reshape(spectra.shape + (2,))[m, ell, :, part] \
+            = self._spectrum_sign * flat
+        return spectra
+
+    def _rows(self, spectra):
+        """Coefficient rows (K, width) of order spectra, inverse of _spectra."""
+        m, ell, part = self._spectrum_index
+        pairs = spectra.view(float).reshape(spectra.shape + (2,))
+        return self._spectrum_sign * pairs[m, ell, :, part]
 
     def fit(self, samples):
         """Quadrature projection onto the real harmonics (exact if band-limited).
@@ -172,23 +244,46 @@ class SphHarmBasis:
                 f"expected {self.num_nodes} samples, got {samples.shape[0]}")
         tail = samples.shape[1:]
         flat = samples.reshape(self.num_nodes, -1)
-        coeffs = self._tables[:, 0, :] @ (self._round_weights[:, None] * flat)
-        return coeffs.reshape((self.mode_count,) + tail)
+        L, width = self.degree, flat.shape[1]
+        weighted = self._round_weights[:, None] * flat
+        rings = np.fft.rfft(weighted.reshape(self.n_theta, self.n_phi, width),
+                            axis=1).view(float)
+        spectra = np.zeros((L + 1, L + 1, width), dtype=complex)
+        sums = spectra.view(float)
+        for m in range(L + 1):
+            np.einsum("tl,tf->lf", self._legendre[0, m, :, m:], rings[:, m],
+                      out=sums[m, m:])
+        return self._rows(spectra).reshape((self.mode_count,) + tail)
 
     def evaluate(self, coeffs, deriv=(0, 0)):
+        """A chart derivative of the fields on the grid, (num_nodes, ...)."""
+        a, b = _chart_order(deriv)
         coeffs = np.asarray(coeffs, dtype=float)
         tail = coeffs.shape[1:]
         flat = coeffs.reshape(self.mode_count, -1)
-        vals = self._tables[:, _DERIV_SLOT[deriv], :].T @ flat
+        L, width = self.degree, flat.shape[1]
+        spectra = self._spectra(flat)
+        spectra *= self._phi_factors[b][:, None, None]
+        terms = spectra.view(float)
+        rings = np.empty((self.n_theta, L + 1, width), dtype=complex)
+        sums = rings.view(float)
+        for m in range(L + 1):
+            np.einsum("tl,lf->tf", self._legendre[a, m, :, m:], terms[m, m:],
+                      out=sums[:, m])
+        vals = np.fft.irfft(rings, n=self.n_phi, axis=1, norm="forward")
         return vals.reshape((self.num_nodes,) + tail)
 
     def evaluate_at(self, coeffs, points, deriv=(0, 0)):
+        """A chart derivative of the fields at arbitrary chart points, from
+        the per-point table of that one slot."""
+        deriv = _chart_order(deriv)
         coeffs = np.asarray(coeffs, dtype=float)
         points = np.asarray(points, dtype=float)
         tail = coeffs.shape[1:]
-        tables = _real_tables(self.degree, points[:, 0], points[:, 1])
+        table = _real_tables(self.degree, points[:, 0], points[:, 1],
+                             [deriv])[:, 0]
         flat = coeffs.reshape(self.mode_count, -1)
-        vals = tables[:, _DERIV_SLOT[deriv], :].T @ flat
+        vals = table.T @ flat
         return vals.reshape((len(points),) + tail)
 
     # -- packed real coefficients (already real; packing is the identity) ----

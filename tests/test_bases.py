@@ -106,8 +106,7 @@ def test_basis_dict_round_trip():
 def test_sphharm_tables_match_per_mode_calls():
     # the tables come from a numpy recurrence; they must match the per-(l, m)
     # sph_harm_y values with the real-harmonic signs to rounding (measured
-    # worst 1.1e-15 of a slot's largest entry), and the basis must hold
-    # bitwise the tables of its own grid
+    # worst 1.1e-15 of a slot's largest entry)
     from scipy.special import sph_harm_y
 
     from viscmin.sphharm import _real_tables
@@ -130,7 +129,27 @@ def test_sphharm_tables_match_per_mode_calls():
     tables = _real_tables(L, theta, phi)
     scale = np.max(np.abs(ref), axis=(0, 2), keepdims=True)
     assert np.all(np.abs(tables - ref) <= 4e-15 * scale)
-    assert np.array_equal(basis._tables, tables)
+
+
+@pytest.mark.parametrize("L", [5, 16, 24])
+def test_sphharm_ring_synthesis_matches_tables_in_every_slot(L):
+    # evaluate runs by rings (an FFT in phi and a Legendre sum per order);
+    # each one-hot mode in each chart slot must match the per-point tables
+    # at the grid within 1e-13 of the slot's largest entry (measured worst
+    # 2.8e-14, at L = 24), and a table built for one slot must be bitwise
+    # that slot of the six-slot table
+    from viscmin.sphharm import _DERIV_SLOT, _real_tables
+
+    basis = SphHarmBasis(L)
+    theta, phi = basis.grid_points.T
+    tables = _real_tables(L, theta, phi)
+    eye = np.eye(basis.mode_count)
+    for deriv, slot in _DERIV_SLOT.items():
+        table = tables[:, slot]
+        assert np.array_equal(_real_tables(L, theta, phi, [deriv])[:, 0],
+                              table)
+        err = np.max(np.abs(basis.evaluate(eye, deriv) - table.T))
+        assert err <= 1e-13 * np.max(np.abs(table))
 
 
 def _scipy_tables(L, theta, phi):
@@ -169,7 +188,8 @@ def test_sphharm_tables_match_scipy_on_and_off_grid(L):
                             rng.uniform(0.0, np.pi, 12)])
     phi = rng.uniform(0.0, 2.0 * np.pi, theta.size)
     for tables, (th, ph) in [
-            (basis._tables[:, :, on_grid], basis.grid_points[on_grid].T),
+            (_real_tables(L, *basis.grid_points.T)[:, :, on_grid],
+             basis.grid_points[on_grid].T),
             (_real_tables(L, theta, phi), (theta, phi))]:
         ref = _scipy_tables(L, th, ph)
         scale = np.max(np.abs(ref), axis=(0, 2), keepdims=True)
@@ -177,13 +197,50 @@ def test_sphharm_tables_match_scipy_on_and_off_grid(L):
         assert np.all(np.abs(tables - ref) <= 1e-13 * scale)
 
 
+@pytest.mark.parametrize("L", [16, 32, 48])
+def test_sphharm_fit_inverts_evaluate_at_high_degree(L):
+    # O(1) random coefficients through the ring synthesis and the ring
+    # quadrature and back (measured 5.0e-14, 5.3e-13 and 4.9e-13)
+    basis = SphHarmBasis(L)
+    coeffs = np.random.default_rng(L).normal(size=(basis.mode_count, 4))
+    err = np.max(np.abs(basis.fit(basis.evaluate(coeffs)) - coeffs))
+    assert err <= 1e-12
+
+
+def test_sphharm_rejects_derivative_orders_outside_the_chart():
+    # the chart carries the six slots of order <= 2; any other order is a
+    # typed error naming that order, on the grid and at arbitrary points
+    basis = SphHarmBasis(4)
+    coeffs = np.ones((basis.mode_count, 2))
+    with pytest.raises(ShapeMismatch, match=r"\(3, 0\)"):
+        basis.evaluate(coeffs, (3, 0))
+    with pytest.raises(ShapeMismatch, match=r"\(0, 3\)"):
+        basis.evaluate_at(coeffs, basis.grid_points[:5], (0, 3))
+
+
+def test_sphharm_degree_48_builds_in_bounded_memory():
+    # the basis holds theta-factor stacks, O(L^3), not a [K, 6, N] table
+    # (24 L^4 doubles, 1.07 GB at degree 48); measured peak 15.6 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        SphHarmBasis(48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+
+
 def test_sphharm_tables_satisfy_the_sphere_laplacian():
     # code-independent: every R_{l,m} is an eigenfunction of the round
     # Laplacian, R_tt + cot(t) R_t + R_pp / sin(t)^2 = -l(l+1) R, checked
     # at the Gauss nodes from the table's own derivative slots
+    from viscmin.sphharm import _real_tables
+
     L = 24
     basis = SphHarmBasis(L)
-    T = basis._tables
+    T = _real_tables(L, *basis.grid_points.T)
     theta = basis.grid_points[:, 0]
     ell = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)[:, None]
     lap = (T[:, 3] + np.cos(theta) / np.sin(theta) * T[:, 1]
