@@ -11,8 +11,9 @@ Three independent evaluation routes coexist on purpose:
   over ambients).  The hessian kernels behind every spectrum take the
   gradient and hessian of the node densities as functions of the 21 dot
   products of each node's six vectors, plus kappa times the retraction
-  form (the Gram route, _node_kernels, block by block in
-  _node_kernel_blocks, which the Newton diagonal contracts as it goes).
+  form (the Gram route, _node_kernel_blocks, block by block, which the
+  sigma pencil and the Newton diagonal contract as it goes, so no
+  kernel of the whole grid is ever held).
   At node vectors whose second derivatives are sheared off the frame,
   nine of those products (the metric and the normal pairings) carry a
   second-order adjoint and the cross products a closed-form block; the
@@ -426,94 +427,107 @@ def _node_kernel_blocks(immersion):
 
     Yields (lo, hi, K_area, K_f, g_area, g_f) for consecutive blocks of
     _NODE_BLOCK nodes, with K of shape (hi - lo, 6Q, 6Q) and g of shape
-    (hi - lo, 6Q), in the coordinates of node_coordinates.  Each density
-    is phi(Gamma) of the node Gram matrix, evaluated at the node vectors
-    X' = L X of _gram_coordinates, where the cross entries vanish.  A
-    second-order adjoint over psi's nine entries (_nine_entry_densities,
-    jets.gradient_hessian) gives the gradient and the hessian of both
-    densities, the hessian symmetrized and joined by the closed-form
-    cross block, and
+    (hi - lo, 6Q), in the coordinates of node_coordinates (_kernel_block).
+    The kernels are written into buffers that every block of the pass
+    reuses, as are the block's other large arrays, so that a pass maps
+    them once: the caller may read and change the kernels until it asks
+    for the next block.  With the last block the pass holds nothing but
+    its kernels.  A node's kernels do not depend on the block it is in.
+    The cost does not depend on any variation basis, and on Q only
+    through the pull-back.
+    """
+    N = immersion.basis.num_nodes
+    Q = immersion.ambient.dim
+    X = node_coordinates(*immersion.derivatives()).reshape(N, 6, Q)
+    weights = immersion.basis.chart_weights
+    # allocated once per pass: arrays of this size, freed block by block,
+    # would go back to the operating system and be faulted in again
+    rows = len(_PSI_P) + 3 * immersion.ambient.frame_size
+    B = min(N, _NODE_BLOCK)
+    work = [np.empty((B,) + shape) for shape in
+            ((rows, 6 * Q), (rows, 6 * Q), (rows, rows), (6 * Q, 6 * Q),
+             (6 * Q, 6 * Q))]
+    for lo in range(0, N, _NODE_BLOCK):
+        hi = min(N, lo + _NODE_BLOCK)
+        kernels = _kernel_block(immersion.ambient, X[lo:hi], weights[lo:hi],
+                                [x[:hi - lo] for x in work])
+        if hi == N:
+            # the caller of the last block holds its kernels and nothing
+            # more of the pass
+            del work
+        yield (lo, hi, *kernels)
+
+
+def _kernel_block(ambient, X, weights, work):
+    """(K_area, K_f, g_area, g_f) of one block of node vectors X (B, 6, Q)
+    with quadrature weights (B,); work holds the block's buffers, shaped
+    (B, R, 6Q) twice, (B, R, R) and (B, 6Q, 6Q) twice for the R rows of
+    d2phi below, and the kernels are the last two.
+
+    Each density is phi(Gamma) of the node Gram matrix, evaluated at the
+    node vectors X' = L X of _gram_coordinates, where the cross entries
+    vanish.  A second-order adjoint over psi's nine entries
+    (_nine_entry_densities, jets.gradient_hessian) gives the gradient and
+    the hessian of both densities, the hessian symmetrized and joined by
+    the closed-form cross block, and
         K = J^T d2phi J + (L^T D L + r) (x) I_Q,    g = J^T dphi,
     with J = J'(L (x) I_Q) over the Gram entries whose rows of d2phi are
     not zero (the nine and the cross entries), pull them back to the node
     coordinates; r is kappa times the retraction form of g
     (_retraction_kernel), so K is the kernel of the constrained hessian.
-    The arrays are fresh for each block and belong to the caller; a
-    node's kernels do not depend on the block it is in.  The cost does
-    not depend on any variation basis, and on Q only through the
-    pull-back.
     """
-    Q = immersion.ambient.dim
-    n = 6 * Q
-    N = immersion.basis.num_nodes
-    kappa = immersion.ambient.curvature_constant
-    frame_size = immersion.ambient.frame_size
+    B, _, Q = X.shape
+    kappa = ambient.curvature_constant
+    frame_size = ambient.frame_size
     frame = [1, 2, 0][:frame_size]
-    X = node_coordinates(*immersion.derivatives()).reshape(N, 6, Q)
-    weights = immersion.basis.chart_weights
     # rows of d2phi: psi's nine entries, then the cross entries (f, a),
     # a-major, so that the cross block is -S (x) F^-1
     rows_p = np.concatenate([_PSI_P, np.tile(frame, 3)])
     rows_q = np.concatenate([_PSI_Q, np.repeat([3, 4, 5], frame_size)])
     rows = np.arange(len(rows_p))
     nine, cross = slice(0, 9), slice(9, None)
+    # J' and then d2phi J share the first buffer
+    HJ, J, hess, *kernels = work
 
-    for lo in range(0, N, _NODE_BLOCK):
-        hi = min(N, lo + _NODE_BLOCK)
-        B = hi - lo
-        Xs, L, scale = _gram_coordinates(X[lo:hi], frame)
-        gram = np.sum(Xs[:, :, None, :] * Xs[:, None, :, :], axis=-1)
-        w = weights[lo:hi] * scale
-        _, grads, hessians = gradient_hessian(
-            lambda x: _nine_entry_densities(x, w), gram[:, _PSI_P, _PSI_Q].T)
-        # the inverse Gram matrix of the frame, in the order of frame
-        s = None if frame_size == 2 else (gram[:, 1, 0], gram[:, 2, 0],
-                                          gram[:, 0, 0])
-        cof, det_frame = _frame_cofactors(gram[:, 1, 1], gram[:, 1, 2],
-                                          gram[:, 2, 2], s)
-        F_inv = np.moveaxis(np.array(cof), -1, 0) / det_frame[:, None, None]
-        # row (p, q) of J' holds X'_q in slot p and X'_p in slot q
-        Jp = np.zeros((B, len(rows), 6, Q))
-        Jp[:, rows, rows_q] = Xs[:, rows_p]
-        Jp[:, rows, rows_p] += Xs[:, rows_q]
-        J = (np.swapaxes(L, 1, 2)[:, None] @ Jp).reshape(B, -1, n)
-        Jt = np.swapaxes(J, 1, 2)
-        kernels, gradients = [], []
-        for dpsi, h in zip(grads, hessians):
-            dpsi = dpsi.T
-            D = np.zeros((B, 6, 6))
-            D[:, _PSI_P, _PSI_Q] = dpsi
-            D[:, _PSI_Q, _PSI_P] = dpsi
-            D[:, range(6), range(6)] *= 2.0
-            h = np.moveaxis(h, -1, 0)
-            hess = np.zeros((B, len(rows), len(rows)))
-            hess[:, nine, nine] = 0.5 * (h + np.swapaxes(h, 1, 2))
-            S = D[:, 3:, 3:]
-            hess[:, cross, cross] = -(
-                S[:, :, None, :, None] * F_inv[:, None, :, None, :]
-            ).reshape(B, 3 * frame_size, 3 * frame_size)
-            K = Jt @ (hess @ J)
-            g = (Jt[:, :, nine] @ dpsi[..., None])[..., 0]
-            r = np.swapaxes(L, 1, 2) @ D @ L
-            r += kappa * _retraction_kernel(X[lo:hi], g)
-            _add_kron_identity(K, r)
-            kernels.append(K)
-            gradients.append(g)
-        yield (lo, hi, *kernels, *gradients)
-
-
-def _node_kernels(immersion):
-    """Constrained node hessians and gradients of the area and F densities
-    over every node: (K_area, K_f, g_area, g_f), the blocks of
-    _node_kernel_blocks stacked, K (N, 6Q, 6Q) and g (N, 6Q)."""
-    n = 6 * immersion.ambient.dim
-    N = immersion.basis.num_nodes
-    kernels = (np.empty((N, n, n)), np.empty((N, n, n)))
-    gradients = (np.empty((N, n)), np.empty((N, n)))
-    for lo, hi, *block in _node_kernel_blocks(immersion):
-        for whole, part in zip(kernels + gradients, block):
-            whole[lo:hi] = part
-    return kernels + gradients
+    Xs, L, scale = _gram_coordinates(X, frame)
+    gram = np.sum(Xs[:, :, None, :] * Xs[:, None, :, :], axis=-1)
+    w = weights * scale
+    _, grads, hessians = gradient_hessian(
+        lambda x: _nine_entry_densities(x, w), gram[:, _PSI_P, _PSI_Q].T)
+    # the inverse Gram matrix of the frame, in the order of frame
+    s = None if frame_size == 2 else (gram[:, 1, 0], gram[:, 2, 0],
+                                      gram[:, 0, 0])
+    cof, det_frame = _frame_cofactors(gram[:, 1, 1], gram[:, 1, 2],
+                                      gram[:, 2, 2], s)
+    F_inv = np.moveaxis(np.array(cof), -1, 0) / det_frame[:, None, None]
+    # row (p, q) of J' holds X'_q in slot p and X'_p in slot q
+    Jp = HJ.reshape(B, len(rows), 6, Q)
+    Jp[...] = 0.0
+    Jp[:, rows, rows_q] = Xs[:, rows_p]
+    Jp[:, rows, rows_p] += Xs[:, rows_q]
+    np.matmul(np.swapaxes(L, 1, 2)[:, None], Jp, out=J.reshape(Jp.shape))
+    Jt = np.swapaxes(J, 1, 2)
+    gradients = []
+    for dpsi, h, K in zip(grads, hessians, kernels):
+        dpsi = dpsi.T
+        D = np.zeros((B, 6, 6))
+        D[:, _PSI_P, _PSI_Q] = dpsi
+        D[:, _PSI_Q, _PSI_P] = dpsi
+        D[:, range(6), range(6)] *= 2.0
+        h = np.moveaxis(h, -1, 0)
+        hess[...] = 0.0
+        hess[:, nine, nine] = 0.5 * (h + np.swapaxes(h, 1, 2))
+        S = D[:, 3:, 3:]
+        hess[:, cross, cross] = -(
+            S[:, :, None, :, None] * F_inv[:, None, :, None, :]
+        ).reshape(B, 3 * frame_size, 3 * frame_size)
+        np.matmul(Jt, np.matmul(hess, J, out=HJ), out=K)
+        g = (Jt[:, :, nine] @ dpsi[..., None])[..., 0]
+        r = np.swapaxes(L, 1, 2) @ D @ L
+        r += kappa * _retraction_kernel(X, g)
+        _add_kron_identity(K, r)
+        gradients.append(g)
+    return (*kernels, *gradients)
 
 
 def _add_kron_identity(K, r):

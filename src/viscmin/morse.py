@@ -11,12 +11,12 @@ kept on the family).  At a fixed immersion the constrained hessian of
 the relaxed energy is the pencil H_area + sigma^2 H_F; both parts are
 contracted from one pass of per-node second-derivative kernels of the
 energy densities (a second-order adjoint in Gram coordinates, with the
-retraction-curvature first-variation term folded in), so one pencil
-serves every sigma.  The index/nullity come from the generalized
-symmetric eigenproblem against the L2 Gram matrix.  The gradient
-contraction and the diagonal, contracted block by block from the same
-kernel pass without holding its arrays, serve only the critical point
-solver.
+retraction-curvature first-variation term folded in), contracted in
+fixed node chunks as the pass yields them, so one pencil serves every
+sigma and no kernel of the whole grid is ever held.  The index/nullity
+come from the generalized symmetric eigenproblem against the L2 Gram
+matrix.  The gradient contraction and the diagonal, contracted block by
+block from the same kernel pass, serve only the critical point solver.
 """
 
 import warnings
@@ -120,26 +120,81 @@ def reparametrization_basis(immersion, cutoff):
                            for i in range(2)])
 
 
+# nodes per chunk of the pencil's contraction.  The sums run chunk by
+# chunk in this fixed grouping, whatever the block of the kernel pass, so
+# the pencil's bits do not depend on energy._NODE_BLOCK
+_PENCIL_CHUNK = 256
+
+
+def _kernel_chunks(immersion):
+    """The blocks of energy._node_kernel_blocks regrouped into consecutive
+    chunks of _PENCIL_CHUNK nodes: yields (lo, hi, K_area, K_f, g_area,
+    g_f) like the blocks.  A chunk that lies inside one block is a view of
+    it; only a chunk that spans blocks is gathered into one buffer, reused
+    for every such chunk."""
+    N = immersion.basis.num_nodes
+    gathered = None
+    for lo, hi, *block in energy._node_kernel_blocks(immersion):
+        pos = lo
+        while pos < hi:
+            start = pos - pos % _PENCIL_CHUNK
+            stop = min(N, start + _PENCIL_CHUNK)
+            end = min(hi, stop)
+            parts = [x[pos - lo:end - lo] for x in block]
+            if pos == start and end == stop:
+                yield (start, stop, *parts)
+            else:
+                if gathered is None:
+                    gathered = [np.empty((_PENCIL_CHUNK,) + x.shape[1:])
+                                for x in block]
+                for whole, part in zip(gathered, parts):
+                    whole[pos - start:end - start] = part
+                if end == stop:
+                    yield (start, stop, *(x[:stop - start] for x in gathered))
+            pos = end
+
+
+def _add_chunk(sums, buffer, triple, lo, hi, kernels):
+    """Add the terms of nodes lo:hi to the pencil sums (H_area, H_f,
+    grad_area, grad_f) in place, from their kernels (K_area, K_f, g_area,
+    g_f) and the family's sample triple; buffer holds at least the chunk's
+    node coordinates."""
+    Y = energy.node_coordinates(*(x[:, lo:hi] for x in triple))
+    Y_rows = Y.reshape(len(Y), -1)
+    # (Y K) node by node into the field-major buffer, then one matmul of
+    # its rows against Y's rows
+    YK = buffer[:Y.size].reshape(Y.shape)
+    for H, K in zip(sums[:2], kernels[:2]):
+        np.matmul(np.swapaxes(Y, 0, 1), K, out=np.swapaxes(YK, 0, 1))
+        H += YK.reshape(Y_rows.shape) @ Y_rows.T
+    for grad, g in zip(sums[2:], kernels[2:]):
+        grad += np.einsum("anp,np->a", Y, g)
+
+
 def sigma_pencil(immersion, basis):
     """The sigma-split of the constrained hessian on a variation basis.
 
     Returns (H_area, H_F, G, grad_area, grad_F): at this immersion the
     constrained A^sigma hessian is exactly H_area + sigma^2 H_F and the
     gradient grad_area + sigma^2 grad_F, for every sigma; G is the L2 Gram
-    matrix.  One energy._node_kernels pass serves all of it: each part's
-    constrained node kernel K_n and node gradient g_n, so that
+    matrix.  One pass of energy._node_kernel_blocks serves all of it: each
+    part's constrained node kernel K_n and node gradient g_n, so that
     H_ab = sum_n y_a(n)^T K_n y_b(n) and grad_a = sum_n g_n . y_a(n) with
-    y_a(n) the node coordinates of w_a.  The pass runs in fixed blocks of
-    nodes, and the pencil is bit-identical for any block size.
+    y_a(n) the node coordinates of w_a.  The sums are contracted chunk by
+    chunk as the pass yields its kernels (_kernel_chunks), so neither the
+    kernels nor the node coordinates of the whole grid are ever held, and
+    the pencil is bit-identical for any block size of the pass.
     """
-    K_area, K_f, g_area, g_f = energy._node_kernels(immersion)
-    Y = energy.node_coordinates(*basis.triples())
-    # (Y K) node by node, then one matmul of its rows against Y's rows
-    Y_nodes, Y_rows = np.swapaxes(Y, 0, 1), Y.reshape(len(Y), -1)
-    H_area, H_f = (np.swapaxes(Y_nodes @ K, 0, 1).reshape(Y_rows.shape)
-                   @ Y_rows.T for K in (K_area, K_f))
-    grad_area, grad_f = (np.einsum("anp,np->a", Y, g)
-                         for g in (g_area, g_f))
+    triple = basis.triples()
+    M = len(basis)
+    # -0.0 is the exact additive identity: the sums of a single chunk keep
+    # their bits
+    sums = [np.full((M, M), -0.0), np.full((M, M), -0.0),
+            np.full(M, -0.0), np.full(M, -0.0)]
+    buffer = np.empty(M * _PENCIL_CHUNK * 6 * immersion.ambient.dim)
+    for lo, hi, *kernels in _kernel_chunks(immersion):
+        _add_chunk(sums, buffer, triple, lo, hi, kernels)
+    H_area, H_f, grad_area, grad_f = sums
     return (0.5 * (H_area + H_area.T), 0.5 * (H_f + H_f.T), basis.gram(),
             grad_area, grad_f)
 

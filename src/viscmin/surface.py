@@ -9,7 +9,8 @@ same code produces plain values (arrays in) and first/second variations
 along a family (jets in).  Its jets serve the second variations along
 whole fields (energy.second_variation_ambient and batched_quadratic),
 which are the oracle of the hessian kernels; those kernels take a
-second-order adjoint in Gram coordinates instead (energy._node_kernels).
+second-order adjoint in Gram coordinates instead
+(energy._node_kernel_blocks).
 
 The node density algebra is written once, for both routes: the cofactors
 and determinant of the frame's Gram matrix (_frame_cofactors) and the

@@ -207,6 +207,28 @@ def test_sphharm_fit_inverts_evaluate_at_high_degree(L):
     assert err <= 1e-12
 
 
+def test_gauss_legendre_weights_exact_to_roundoff():
+    # closed form: sum_i w_i x_i^(2k) = 2 / (2k + 1) for 2k <= 2n - 2, a
+    # sum of positive terms, so it does not cancel (numpy's leggauss
+    # weights read 1.2e-12 at n = 128, the recomputed ones 2.8e-14)
+    from viscmin.sphharm import _gauss_legendre
+
+    n = 128
+    x, w = _gauss_legendre(n)
+    exact = 2.0 / (2.0 * np.arange(n) + 1.0)
+    sums = np.array([np.sum(w * x ** (2 * k)) for k in range(n)])
+    assert np.max(np.abs(sums - exact) / exact) <= 1e-13
+
+
+def test_sphharm_fit_inverts_evaluate_at_degree_64():
+    # the round trip's floor is the quadrature weights (leggauss weights
+    # read 3.9e-12 here, the recomputed ones 9.9e-14)
+    basis = SphHarmBasis(64)
+    coeffs = np.random.default_rng(64).normal(size=(basis.mode_count, 4))
+    err = np.max(np.abs(basis.fit(basis.evaluate(coeffs)) - coeffs))
+    assert err <= 5e-13
+
+
 def test_sphharm_rejects_derivative_orders_outside_the_chart():
     # the chart carries the six slots of order <= 2; any other order is a
     # typed error naming that order, on the grid and at arbitrary points

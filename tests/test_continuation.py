@@ -241,8 +241,9 @@ def _counted(monkeypatch, owner, name):
 
 def test_continuation_builds_one_kernel_pass(monkeypatch, clifford):
     # every stage solve stays at the symmetric torus, so one sigma pencil
-    # serves the four stage spectra and the sigma = 0 limit
-    builds = _counted(monkeypatch, energy, "_node_kernels")
+    # serves the four stage spectra and the sigma = 0 limit, and Newton
+    # takes no step, so no diagonal pass runs
+    builds = _counted(monkeypatch, energy, "_node_kernel_blocks")
     cfg = continuation.ContinuationConfig(
         sigma_schedule=[0.5, 0.25, 0.125, 0.0625], spectrum_cutoff=2)
     out = continuation.run_continuation(cfg, clifford)
@@ -255,7 +256,7 @@ def test_continuation_builds_one_kernel_pass(monkeypatch, clifford):
 def test_continuation_kernel_pass_per_stage_immersion(monkeypatch):
     # Newton moves the perturbed equator at every stage here: one kernel
     # pass per stage immersion, and one diagonal pass per Newton step
-    builds = _counted(monkeypatch, energy, "_node_kernels")
+    builds = _counted(monkeypatch, energy, "_node_kernel_blocks")
     diagonals = _counted(monkeypatch, continuation, "hessian_diagonal")
     im = surface.make_preset("perturbed_equator", resolution=8)
     cfg = continuation.ContinuationConfig(sigma_schedule=[0.5, 0.25, 0.125],
@@ -264,8 +265,12 @@ def test_continuation_kernel_pass_per_stage_immersion(monkeypatch):
     moved = [s.immersion for i, s in enumerate(stages)
              if i == 0 or s.immersion is not stages[i - 1].immersion]
     assert len(moved) == 3
-    assert len(builds) == 3 and all(a is b for a, b in zip(builds, moved))
     assert len(diagonals) == sum(s.iterations for s in stages) > 0
+    # each diagonal pass is a kernel pass too; the others are the pencils'
+    pencils = list(builds)
+    for diagonal in diagonals:
+        pencils.remove(diagonal)
+    assert len(pencils) == 3 and all(a is b for a, b in zip(pencils, moved))
 
 
 def test_newton_diagonal_pass_once_per_step(monkeypatch, clifford):

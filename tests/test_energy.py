@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from viscmin import energy, surface
+from viscmin import energy, morse, surface
 
 PI = np.pi
 
@@ -224,6 +224,15 @@ def _retraction_forms(im):
             for d in energy._first_variation_densities(im, *V)]
 
 
+def _node_kernels(im):
+    """The blocks of energy._node_kernel_blocks stacked over every node:
+    (K_area, K_f, g_area, g_f), K of shape (N, 6Q, 6Q), g of shape
+    (N, 6Q)."""
+    blocks = [[x.copy() for x in block[2:]]
+              for block in energy._node_kernel_blocks(im)]
+    return [np.concatenate(parts) for parts in zip(*blocks)]
+
+
 @pytest.mark.parametrize("name", ["perturbed_equator", "round_sphere",
                                   "perturbed_clifford", "clifford_r4",
                                   "equator", "clifford"])
@@ -238,7 +247,7 @@ def test_gram_kernels_match_vector_jets_per_node(request, name):
         Q = im.ambient.dim
         for K, r in zip(refs, _retraction_forms(im)):
             K += np.einsum("npq,ij->npiqj", r, np.eye(Q)).reshape(K.shape)
-    for new, ref in zip(energy._node_kernels(im), refs):
+    for new, ref in zip(_node_kernels(im), refs):
         axes = tuple(range(1, ref.ndim))
         err = np.max(np.abs(new - ref), axis=axes)
         assert np.all(err <= 1e-13 * np.max(np.abs(ref), axis=axes))
@@ -254,6 +263,64 @@ def test_gram_kernels_match_vector_jets_per_node(request, name):
         surface.pointwise_geometry(P, Pd, Pdd, im.ambient), weights)
     for a, b in zip(nine, ref):
         assert_allclose(a, b, rtol=1e-12, atol=0)
+
+
+def _stacked_pencil(im, basis):
+    """sigma_pencil's sums over the stacked kernels of every node, each
+    taken in one contraction over the whole grid."""
+    K_area, K_f, g_area, g_f = _node_kernels(im)
+    Y = energy.node_coordinates(*basis.triples())
+    Y_nodes, Y_rows = np.swapaxes(Y, 0, 1), Y.reshape(len(Y), -1)
+    H_area, H_f = (np.swapaxes(Y_nodes @ K, 0, 1).reshape(Y_rows.shape)
+                   @ Y_rows.T for K in (K_area, K_f))
+    grad_area, grad_f = (np.einsum("anp,np->a", Y, g) for g in (g_area, g_f))
+    return (0.5 * (H_area + H_area.T), 0.5 * (H_f + H_f.T), basis.gram(),
+            grad_area, grad_f)
+
+
+@pytest.mark.parametrize("name, cutoff", [("clifford", 3),
+                                          ("perturbed_clifford", 2),
+                                          ("equator", 3),
+                                          ("perturbed_equator", 2)])
+def test_sigma_pencil_matches_stacked_kernels(request, name, cutoff):
+    # the pencil contracts the kernel pass in fixed node chunks; on the
+    # torus grids one chunk holds every node, so its sums are the stacked
+    # contraction's bits, and on the sphere grids they differ only in
+    # summation order
+    im = request.getfixturevalue(name)
+    basis = morse.normal_variation_basis(im, cutoff)
+    pencil = morse.sigma_pencil(im, basis)
+    ref = _stacked_pencil(im, basis)
+    if im.basis.num_nodes <= morse._PENCIL_CHUNK:
+        for a, b in zip(pencil, ref):
+            assert a.tobytes() == b.tobytes()
+        return
+    for a, b in zip(pencil[:2], ref[:2]):
+        assert np.max(np.abs(a - b)) <= 2e-15 * np.max(np.abs(b))
+    assert pencil[2].tobytes() == ref[2].tobytes()
+    if name.startswith("perturbed"):
+        for a, b in zip(pencil[3:], ref[3:]):
+            assert np.max(np.abs(a - b)) <= 5e-14 * np.max(np.abs(b))
+
+
+def test_sigma_pencil_holds_no_kernel_stacks():
+    # one pencil on the equator at degree 16, cutoff 3, allocates less at
+    # its peak than the two (N, 6Q, 6Q) kernel stacks it no longer forms
+    # (measured 6.8 MiB, against 19.0 MiB with the stacks)
+    import tracemalloc
+
+    im = surface.make_preset("equator_s2_in_s3", resolution=16)
+    basis = morse.normal_variation_basis(im, 3)
+    basis.triples()
+    n = 6 * im.ambient.dim
+    stacks = 2 * im.basis.num_nodes * n * n * 8
+    tracemalloc.start()
+    try:
+        morse.sigma_pencil(im, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stacks
 
 
 def _sheared_node_vectors(im):
