@@ -144,13 +144,13 @@ def solve_critical_point(immersion, sigma, newton_tol=NEWTON_TOL,
     TRUST_RADIUS in the L2(dvol) norm, and each update is re-projected
     onto the ambient.  Saddles are legitimate targets, so nothing descends:
     progress is measured on the gradient norm alone.  Each iteration
-    synthesizes its mode family once (VariationBasis.triples), takes the
-    gradient from one contraction against the node covectors of the first
-    variation (basis_gradient) and decides every exit on it; the diagonal
-    (hessian_diagonal, one kernel pass contracted block by block) runs
-    only when a step is taken, so a start that is already critical costs
-    no kernel pass at all.  The update reads
-    the mode samples from the same synthesis.
+    synthesizes its mode family once, as one node array of values and
+    chart derivatives (VariationBasis.jet), and every later step reads it
+    in place: the gradient is one product of it with the node covector of
+    the first variation (basis_gradient) and decides every exit; the
+    diagonal (hessian_diagonal, one kernel pass contracted chunk by chunk)
+    runs only when a step is taken, so a start that is already critical
+    costs no kernel pass at all; the update reads its value slot.
 
     Returns a dict with the final immersion, grad_norm, iterations,
     converged flag and the gradient history.  On stall, or when an update
@@ -187,7 +187,7 @@ def solve_critical_point(immersion, sigma, newton_tol=NEWTON_TOL,
         step_norm = float(np.sqrt(np.sum(step * step * gram_diag)))
         if step_norm > TRUST_RADIUS:
             step *= TRUST_RADIUS / step_norm
-        update = np.einsum("a,anq->nq", step, basis.triples()[0])
+        update = np.einsum("a,anq->nq", step, basis.jet()[:, :, 0])
         try:
             im = SampledImmersion.from_samples(im.ambient, im.topology,
                                                im.basis, im.samples() + update)

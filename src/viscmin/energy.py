@@ -6,14 +6,19 @@ Three independent evaluation routes coexist on purpose:
   area form, normal-hessian pairing for the curvature energy, plus the
   position term of the moving frame, scaled by the ambient's curvature
   constant kappa), gathered into per-node covectors that any batch of
-  variations is contracted against;
+  variations is contracted against: sample triples (batched_linear), or
+  a family's node array in one product (_node_covector);
 * exact derivatives for second variations (no truncation error, uniform
   over ambients).  The hessian kernels behind every spectrum take the
   gradient and hessian of the node densities as functions of the 21 dot
   products of each node's six vectors, plus kappa times the retraction
   form (the Gram route, _node_kernel_blocks, block by block, which the
-  sigma pencil and the Newton diagonal contract as it goes, so no
-  kernel of the whole grid is ever held).
+  sigma pencil and the Newton diagonal contract as it goes against the
+  node array of a variation family, read in place, so no kernel of the
+  whole grid is ever held).  Node arrays hold the six node vectors of
+  each node in the order of node_coordinates, (..., N, 6, Q); the kernel
+  pass reads the immersion's own (SampledImmersion.jet), and
+  node_coordinates stacks separate sample triples into that layout.
   At node vectors whose second derivatives are sheared off the frame,
   nine of those products (the metric and the normal pairings) carry a
   second-order adjoint and the cross products a closed-form block; the
@@ -309,6 +314,24 @@ def batched_quadratic(immersion, W, Wd, Wdd, sigma):
     return area.c + sigma ** 2 * f.c, area.b + sigma ** 2 * f.b
 
 
+def _node_covector(immersion, sigma):
+    """The first variation of A^sigma as one covector per node, (N, 6, Q) in
+    the slot order of node_coordinates, with dvol folded in: DA^sigma(w) is
+    the dot product of w's node coordinates with it.  The covectors of
+    _first_variation_covectors, with the uv entry doubled, since W_uv and
+    W_vu are one slot."""
+    A, (f, f_d, f_dd) = _first_variation_covectors(immersion)
+    s2 = sigma ** 2
+    out = np.empty(f.shape[:-1] + (6,) + f.shape[-1:])
+    out[:, 0] = s2 * f
+    out[:, 1:3] = A + s2 * f_d
+    out[:, 3] = s2 * f_dd[:, 0, 0]
+    out[:, 4] = s2 * (f_dd[:, 0, 1] + f_dd[:, 1, 0])
+    out[:, 5] = s2 * f_dd[:, 1, 1]
+    out *= immersion.geometry.dvol[:, None, None]
+    return out
+
+
 def batched_linear(immersion, V, Vd, Vdd, sigma):
     """DA^sigma on a batch of raw sample triples (B,) results: one
     contraction against the node covectors, built once per call."""
@@ -438,7 +461,7 @@ def _node_kernel_blocks(immersion):
     """
     N = immersion.basis.num_nodes
     Q = immersion.ambient.dim
-    X = node_coordinates(*immersion.derivatives()).reshape(N, 6, Q)
+    X = immersion.jet()
     weights = immersion.basis.chart_weights
     # allocated once per pass: arrays of this size, freed block by block,
     # would go back to the operating system and be faulted in again

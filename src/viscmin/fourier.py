@@ -12,6 +12,14 @@ The basis is the genus-1 chart, and it answers every chart question itself:
 genus, resolution (the grid size n that the constructor and resample take),
 of_degree(d) (the chart of band d, n = 2d + 1), and its checkpoint entry
 (to_dict and its inverse from_dict).  No other module tests the basis type.
+
+chart_jet synthesizes real fields with their five chart derivatives in one
+call, from the half spectrum: the coefficients of a real field are
+Hermitian, so each of the six slots is one complex inverse FFT over the
+second chart axis and one real inverse FFT over the first, written straight
+into the node layout (..., N, 6, Q).  A family is transformed in fixed
+groups of _JET_GROUP fields, and every FFT line on its own, so a field's
+jet has the same bits alone and in any stack.
 """
 
 import numpy as np
@@ -19,6 +27,14 @@ import numpy as np
 from .errors import ResolutionTooLow, ShapeMismatch
 
 __all__ = ["FourierBasis"]
+
+# the six chart slots of a jet, (u order, v order) in the order of
+# energy.node_coordinates: value, u, v, uu, uv, vv
+_JET_ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+# fields per real transform of chart_jet: one group's spectra and
+# transforms stay small (a few hundred KB at n = 16), whatever the family
+_JET_GROUP = 8
 
 
 class FourierBasis:
@@ -131,6 +147,37 @@ class FourierBasis:
             work = work * fm ** a * fn ** b
         vals = np.fft.ifft2(work * self.num_nodes, axes=(0, 1))
         return vals.reshape((self.num_nodes,) + tail)
+
+    def chart_jet(self, coeffs):
+        """Values and chart derivatives of real fields on the grid.
+
+        coeffs : (n, n, ..., Q) Hermitian coefficients, as fit gives for
+        real samples.  Returns (..., N, 6, Q) floats, slot s holding the
+        derivative _JET_ORDERS[s]: the axes between the basis axes and the
+        component axis (a family of fields) come first.  Only the half
+        spectrum 0 <= m <= n // 2 of the first chart axis is read.
+        """
+        coeffs = np.asarray(coeffs)
+        n, h = self.n, self.n // 2 + 1
+        batch, Q = coeffs.shape[2:-1], coeffs.shape[-1]
+        half = np.moveaxis(coeffs.reshape(n, n, -1, Q)[:h], 2, 0)
+        B = len(half)
+        fm = (1j * self.freqs[:h])[:, None, None]
+        fn = (1j * self.freqs)[None, :, None]
+        factors = [fm ** a * fn ** b for a, b in _JET_ORDERS[1:]]
+        out = np.empty((B, n, n, 6, Q))
+        spec = np.empty((min(B, _JET_GROUP), h, n, 6, Q), dtype=complex)
+        for lo in range(0, B, _JET_GROUP):
+            hi = min(B, lo + _JET_GROUP)
+            group = spec[:hi - lo]
+            group[..., 0, :] = half[lo:hi]
+            for slot, f in enumerate(factors, 1):
+                np.multiply(half[lo:hi], f, out=group[..., slot, :])
+            # the two steps of an inverse irfft2, the complex one over the
+            # second chart axis, so that the real one writes the output
+            np.fft.ifft(group, axis=2, norm="forward", out=group)
+            np.fft.irfft(group, n=n, axis=1, norm="forward", out=out[lo:hi])
+        return out.reshape(batch + (self.num_nodes, 6, Q))
 
     def evaluate_at(self, coeffs, points, deriv=(0, 0)):
         """Evaluate at arbitrary chart points by direct trigonometric sums.

@@ -6,17 +6,21 @@ frame fields (plus, optionally, tangential reparametrization fields, which
 sit in the radical of the hessian at critical points).  The chart basis
 owns the scalar modes and their band (real_modes); a family is one stack
 of coefficients, its samples formed by broadcasting and fitted in one
-call, and synthesized in one pass per chart derivative (the triples,
-kept on the family).  At a fixed immersion the constrained hessian of
-the relaxed energy is the pencil H_area + sigma^2 H_F; both parts are
-contracted from one pass of per-node second-derivative kernels of the
-energy densities (a second-order adjoint in Gram coordinates, with the
+call, and synthesized once, by one chart_jet of the stack, into one
+read-only node array (M, N, 6, Q) kept on the family
+(VariationBasis.jet): field a's node coordinates y_a(n) are its row
+[a, n].  At a fixed immersion the constrained hessian of the relaxed
+energy is the pencil H_area + sigma^2 H_F; both parts are contracted
+from one pass of per-node second-derivative kernels of the energy
+densities (a second-order adjoint in Gram coordinates, with the
 retraction-curvature first-variation term folded in), contracted in
-fixed node chunks as the pass yields them, so one pencil serves every
-sigma and no kernel of the whole grid is ever held.  The index/nullity
-come from the generalized symmetric eigenproblem against the L2 Gram
-matrix.  The gradient contraction and the diagonal, contracted block by
-block from the same kernel pass, serve only the critical point solver.
+fixed node chunks as the pass yields them, reading the node array in
+place, so one pencil serves every sigma and no kernel of the whole grid
+is ever held.  The index/nullity come from the generalized symmetric
+eigenproblem against the L2 Gram matrix.  The gradient (one product of
+the node array with the first variation's node covector) and the
+diagonal (contracted in the pencil's chunks from the same kernel pass)
+serve only the critical point solver.
 """
 
 import warnings
@@ -24,7 +28,7 @@ import warnings
 import numpy as np
 
 from .errors import GramNotSPD, NonCriticalWarning, ShapeMismatch
-from .surface import Variation, _family_derivatives, normal_frame
+from .surface import Variation, _jet_triple, _read_only, normal_frame
 from . import energy
 
 __all__ = [
@@ -42,6 +46,7 @@ class VariationBasis:
 
     Held as one coefficient stack in the immersion's basis, the family on
     axis -2 (before the ambient component axis), with one label per field.
+    Its samples are one node array (jet), synthesized once.
     """
 
     def __init__(self, immersion, coeffs, labels):
@@ -51,6 +56,7 @@ class VariationBasis:
         if coeffs.shape[-2] != len(self.labels):
             raise ShapeMismatch("coefficients and labels differ in length")
         self._fields = None
+        self._jet = None
         self._triples = None
 
     def __len__(self):
@@ -65,23 +71,38 @@ class VariationBasis:
                             for k in range(len(self))]
         return self._fields
 
-    def triples(self):
-        """Stacked (W, Wd, Wdd) arrays over the whole family.
+    def jet(self):
+        """The family's values and chart derivatives on the grid, one node
+        array (M, N, 6, Q) in the slot order of energy.node_coordinates, so
+        that jet()[a, n] holds the node coordinates y_a(n).  One chart_jet
+        of the whole stack, kept on the basis, read-only."""
+        if self._jet is None:
+            self._jet = _read_only(self.immersion.basis.chart_jet(
+                self.coeffs))
+        return self._jet
 
-        One basis evaluation per chart derivative for the whole stack; the
-        arrays are kept on the basis, read-only.
-        """
+    def triples(self):
+        """(W, Wd, Wdd) over the whole family: views of jet, kept on the
+        basis."""
         if self._triples is None:
-            self._triples = _family_derivatives(self.immersion.basis,
-                                                self.coeffs)
-            for x in self._triples:
-                x.flags.writeable = False
+            self._triples = _jet_triple(self.jet())
         return self._triples
+
+    def _values(self):
+        """The value slot of jet as a contiguous (M, N, Q) copy: the one
+        operand of gram and gram_diagonal, so that the diagonal is gram's
+        bit for bit."""
+        return np.ascontiguousarray(self.jet()[:, :, 0])
 
     def gram(self):
         """L2(dvol) Gram matrix of the family."""
-        W = self.triples()[0]
+        W = self._values()
         return np.einsum("anq,bnq,n->ab", W, W, self.immersion.geometry.dvol)
+
+    def gram_diagonal(self):
+        """The diagonal of gram, without the rest of it."""
+        W = self._values()
+        return np.einsum("anq,anq,n->a", W, W, self.immersion.geometry.dvol)
 
     def extend(self, other):
         if other.immersion is not self.immersion:
@@ -154,19 +175,38 @@ def _kernel_chunks(immersion):
             pos = end
 
 
-def _add_chunk(sums, buffer, triple, lo, hi, kernels):
-    """Add the terms of nodes lo:hi to the pencil sums (H_area, H_f,
-    grad_area, grad_f) in place, from their kernels (K_area, K_f, g_area,
-    g_f) and the family's sample triple; buffer holds at least the chunk's
-    node coordinates."""
-    Y = energy.node_coordinates(*(x[:, lo:hi] for x in triple))
+def _node_chunks(immersion, nodes):
+    """The chunks of _kernel_chunks with the family's node coordinates on
+    them: yields (lo, hi, Y, YK, kernels) with Y = nodes[:, lo:hi] as
+    (M, hi - lo, 6Q), a view of the node array nodes (M, N, 6, Q), and YK
+    a field-major buffer of Y's shape, the same memory for every chunk."""
+    M = len(nodes)
+    buffer = None
+    for lo, hi, *kernels in _kernel_chunks(immersion):
+        if buffer is None:
+            # taken once the first block is formed, so that the buffer and
+            # the temporaries of that block are not held at once
+            buffer = np.empty(M * _PENCIL_CHUNK * nodes[0, 0].size)
+        Y = nodes[:, lo:hi].reshape(M, hi - lo, -1)
+        yield lo, hi, Y, buffer[:Y.size].reshape(Y.shape), kernels
+
+
+def _times_kernel(Y, K, YK):
+    """YK = Y K node by node, (M, B, 6Q) from Y and K (B, 6Q, 6Q)."""
+    np.matmul(np.swapaxes(Y, 0, 1), K, out=np.swapaxes(YK, 0, 1))
+    return YK
+
+
+def _add_chunk(sums, Y, YK, kernels):
+    """Add the terms of one chunk to the pencil sums (H_area, H_f,
+    grad_area, grad_f) in place, from its kernels (K_area, K_f, g_area,
+    g_f) and its node coordinates Y, with YK the chunk's buffer
+    (_node_chunks)."""
     Y_rows = Y.reshape(len(Y), -1)
-    # (Y K) node by node into the field-major buffer, then one matmul of
-    # its rows against Y's rows
-    YK = buffer[:Y.size].reshape(Y.shape)
+    # (Y K) into the field-major buffer, then one matmul of its rows
+    # against Y's rows
     for H, K in zip(sums[:2], kernels[:2]):
-        np.matmul(np.swapaxes(Y, 0, 1), K, out=np.swapaxes(YK, 0, 1))
-        H += YK.reshape(Y_rows.shape) @ Y_rows.T
+        H += _times_kernel(Y, K, YK).reshape(Y_rows.shape) @ Y_rows.T
     for grad, g in zip(sums[2:], kernels[2:]):
         grad += np.einsum("anp,np->a", Y, g)
 
@@ -180,20 +220,19 @@ def sigma_pencil(immersion, basis):
     matrix.  One pass of energy._node_kernel_blocks serves all of it: each
     part's constrained node kernel K_n and node gradient g_n, so that
     H_ab = sum_n y_a(n)^T K_n y_b(n) and grad_a = sum_n g_n . y_a(n) with
-    y_a(n) the node coordinates of w_a.  The sums are contracted chunk by
-    chunk as the pass yields its kernels (_kernel_chunks), so neither the
-    kernels nor the node coordinates of the whole grid are ever held, and
-    the pencil is bit-identical for any block size of the pass.
+    y_a(n) the node coordinates of w_a, read in place from the basis's
+    node array (VariationBasis.jet).  The sums are contracted chunk by
+    chunk as the pass yields its kernels (_node_chunks), so no kernel of
+    the whole grid is ever held, and the pencil is bit-identical for any
+    block size of the pass.
     """
-    triple = basis.triples()
     M = len(basis)
     # -0.0 is the exact additive identity: the sums of a single chunk keep
     # their bits
     sums = [np.full((M, M), -0.0), np.full((M, M), -0.0),
             np.full(M, -0.0), np.full(M, -0.0)]
-    buffer = np.empty(M * _PENCIL_CHUNK * 6 * immersion.ambient.dim)
-    for lo, hi, *kernels in _kernel_chunks(immersion):
-        _add_chunk(sums, buffer, triple, lo, hi, kernels)
+    for _, _, Y, YK, kernels in _node_chunks(immersion, basis.jet()):
+        _add_chunk(sums, Y, YK, kernels)
     H_area, H_f, grad_area, grad_f = sums
     return (0.5 * (H_area + H_area.T), 0.5 * (H_f + H_f.T), basis.gram(),
             grad_area, grad_f)
@@ -233,37 +272,39 @@ def assemble_hessian(immersion, basis, sigma, warn_critical=True):
 def basis_gradient(immersion, basis, sigma):
     """Gram diagonal and gradient of A^sigma on a variation basis.
 
-    Returns (gram_diag, grad).  The gradient is one contraction of the
-    basis triples against the node covectors of the explicit
-    first-variation formulas (energy.batched_linear), with no jet pass, so
+    Returns (gram_diag, grad).  The gradient is one matrix-vector product
+    of the basis's node array with the node covector of the explicit
+    first-variation formulas (energy._node_covector), with no jet pass, so
     this scales to full-band bases where the dense assembly would not; the
     critical point solver's gradient.
     """
-    W, Wd, Wdd = basis.triples()
-    gram_diag = np.einsum("anq,anq,n->a", W, W, immersion.geometry.dvol)
-    return gram_diag, energy.batched_linear(immersion, W, Wd, Wdd, sigma)
+    nodes = basis.jet()
+    covector = energy._node_covector(immersion, sigma)
+    return (basis.gram_diagonal(),
+            nodes.reshape(len(nodes), -1) @ covector.ravel())
 
 
 def hessian_diagonal(immersion, basis, sigma):
     """Diagonal of the constrained hessian, no off-diagonal.
 
-    The diagonal H_aa = sum_n y_a(n)^T K_n y_a(n) of the assembly,
-    contracted block by block from the constrained node kernels of
-    energy._node_kernel_blocks with K = K_area + sigma^2 K_f, so that no
-    (N, 6Q, 6Q) array is ever held and the cost is one kernel pass plus
-    one node-wise quadratic form per field; this scales to full-band
-    bases where the dense assembly would not.  The critical point
-    solver's Newton denominators.  Each node's terms are summed over the
-    nodes at the end, so the diagonal is bit-identical for any block size.
+    The diagonal H_aa = sum_n y_a(n)^T K_n y_a(n) of the assembly, with
+    K = K_area + sigma^2 K_f the constrained node kernels, contracted chunk
+    by chunk as the kernel pass yields them (_node_chunks, the pencil's
+    chunks and buffer), so that no (N, 6Q, 6Q) array is ever held and the
+    cost is one kernel pass plus one node-wise quadratic form per field;
+    this scales to full-band bases where the dense assembly would not.
+    The critical point solver's Newton denominators.  Each node's terms
+    are summed over the nodes at the end, so the diagonal is bit-identical
+    for any block size.
     """
-    W, Wd, Wdd = basis.triples()
-    per_node = np.empty(W.shape[:2])
-    for lo, hi, K, K_f, _, _ in energy._node_kernel_blocks(immersion):
-        K += sigma ** 2 * K_f
-        # (nodes, fields, 6Q): one small matrix product per node
-        Y = np.swapaxes(energy.node_coordinates(
-            W[:, lo:hi], Wd[:, lo:hi], Wdd[:, lo:hi]), 0, 1)
-        per_node[:, lo:hi] = np.sum((Y @ K) * Y, axis=-1).T
+    nodes = basis.jet()
+    per_node = np.empty(nodes.shape[:2])
+    for lo, hi, Y, YK, (K, K_f, _, _) in _node_chunks(immersion, nodes):
+        K_f *= sigma ** 2
+        K += K_f
+        _times_kernel(Y, K, YK)
+        YK *= Y
+        YK.sum(axis=-1, out=per_node[:, lo:hi])
     return per_node.sum(axis=1)
 
 

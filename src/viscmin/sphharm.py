@@ -26,10 +26,13 @@ phi on each ring and then one Gauss-weighted Legendre sum per order m;
 evaluate takes one Legendre sum per order and one inverse real FFT per
 ring (the separable transform of Driscoll & Healy, Adv. Appl. Math. 15,
 1994): O(L^3) memory and O(L^3) work per field, against 24 L^4 doubles
-for a dense table of the six chart slots.  At arbitrary points,
-evaluate_at and real_modes tabulate the one slot they need per point
-(_real_tables).  Both routes are exact spectral derivatives, poles
-included, and need numpy only.
+for a dense table of the six chart slots.  chart_jet gives all six slots
+of a field in one call, in the node layout (..., N, 6, Q), from one
+Legendre sum per theta order, three in all: the phi-factor (i m)^b is a
+factor of each order's sum, so it is applied after the sum.  At
+arbitrary points, evaluate_at and real_modes tabulate the one slot they
+need per point (_real_tables).  Both routes are exact spectral
+derivatives, poles included, and need numpy only.
 
 The basis is the genus-0 chart, and it answers every chart question itself:
 genus, resolution (the degree L that the constructor and resample take),
@@ -46,6 +49,10 @@ from .errors import ResolutionTooLow, ShapeMismatch
 __all__ = ["SphHarmBasis"]
 
 _DERIV_SLOT = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (2, 0): 3, (1, 1): 4, (0, 2): 5}
+
+# fields per transform of chart_jet, so that its spectra and rings stay a
+# few MB whatever the family
+_JET_GROUP = 8
 
 
 def _gauss_legendre(n):
@@ -200,6 +207,7 @@ class SphHarmBasis:
         orders = np.arange(L + 1)
         half = np.where(orders == 0, 1.0, 0.5)
         self._phi_factors = [half * (1j * orders) ** b for b in range(3)]
+        self._phi_orders = [(1j * orders) ** b for b in range(3)]
 
     @classmethod
     def of_degree(cls, degree):
@@ -290,6 +298,47 @@ class SphHarmBasis:
                       out=sums[:, m])
         vals = np.fft.irfft(rings, n=self.n_phi, axis=1, norm="forward")
         return vals.reshape((self.num_nodes,) + tail)
+
+    def chart_jet(self, coeffs):
+        """Values and chart derivatives of the fields on the grid.
+
+        coeffs : (mode_count, ..., Q).  Returns (..., N, 6, Q), slot s
+        holding the chart derivative of order s in _DERIV_SLOT (value,
+        theta, phi, theta theta, theta phi, phi phi): the axes between the
+        mode axis and the component axis (a family of fields) come first.
+        The fields are transformed in groups of _JET_GROUP, each group's
+        six slots in one inverse real FFT into the output.
+        """
+        coeffs = np.asarray(coeffs, dtype=float)
+        batch, Q = coeffs.shape[1:-1], coeffs.shape[-1]
+        flat = coeffs.reshape(self.mode_count, -1, Q)
+        L, B = self.degree, flat.shape[1]
+        out = np.empty((B, self.n_theta, self.n_phi, 6, Q))
+        for lo in range(0, B, _JET_GROUP):
+            hi = min(B, lo + _JET_GROUP)
+            width = (hi - lo) * Q
+            spectra = self._spectra(flat[:, lo:hi].reshape(-1, width))
+            spectra *= self._phi_factors[0][:, None, None]
+            terms = spectra.view(float)
+            # one Legendre sum per theta order a, rings[a] (ring, m, field)
+            rings = np.empty((3, self.n_theta, L + 1, width), dtype=complex)
+            sums = rings.view(float)
+            for a in range(3):
+                for m in range(L + 1):
+                    np.einsum("tl,lf->tf", self._legendre[a, m, :, m:],
+                              terms[m, m:], out=sums[a, :, m])
+            # the phi-factor of each slot, then the slots' rings as
+            # (field, ring, m, slot, component)
+            spec = np.empty((hi - lo, self.n_theta, L + 1, 6, Q),
+                            dtype=complex)
+            for (a, b), slot in _DERIV_SLOT.items():
+                np.multiply(
+                    rings[a].reshape(self.n_theta, L + 1, hi - lo, Q),
+                    self._phi_orders[b][:, None, None],
+                    out=np.moveaxis(spec[..., slot, :], 0, 2))
+            np.fft.irfft(spec, n=self.n_phi, axis=2, norm="forward",
+                         out=out[lo:hi])
+        return out.reshape(batch + (self.num_nodes, 6, Q))
 
     def evaluate_at(self, coeffs, points, deriv=(0, 0)):
         """A chart derivative of the fields at arbitrary chart points, from

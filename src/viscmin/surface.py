@@ -1,16 +1,21 @@
 """Spectrally sampled immersed surfaces and their pointwise geometry.
 
 A SampledImmersion is a band-limited map from a torus or sphere chart into
-the ambient manifold, stored by its spectral coefficients. All geometric
-quantities (metric, normal projector, second fundamental form, curvatures)
-are computed per collocation node by one shared pipeline. The pipeline is
-written against the small arithmetic protocol of jets.Jet2, so the exact
-same code produces plain values (arrays in) and first/second variations
-along a family (jets in).  Its jets serve the second variations along
-whole fields (energy.second_variation_ambient and batched_quadratic),
-which are the oracle of the hessian kernels; those kernels take a
-second-order adjoint in Gram coordinates instead
-(energy._node_kernel_blocks).
+the ambient manifold, stored by its spectral coefficients.  Its samples
+and chart derivatives are one node array (jet), (N, 6, Q) in the slot
+order (P, P_u, P_v, P_uu, P_uv, P_vv) of energy.node_coordinates, from one
+chart_jet of its basis; a Variation keeps its own the same way, and a
+family of variations one (M, N, 6, Q) array (morse.VariationBasis).  The
+(P, Pd, Pdd) triples that derivatives() returns are read-only views of
+that array.  All geometric quantities (metric, normal projector, second
+fundamental form, curvatures) are computed per collocation node by one
+shared pipeline. The pipeline is written against the small arithmetic
+protocol of jets.Jet2, so the exact same code produces plain values
+(arrays in) and first/second variations along a family (jets in).  Its
+jets serve the second variations along whole fields
+(energy.second_variation_ambient and batched_quadratic), which are the
+oracle of the hessian kernels; those kernels take a second-order adjoint
+in Gram coordinates instead (energy._node_kernel_blocks).
 
 The node density algebra is written once, for both routes: the cofactors
 and determinant of the frame's Gram matrix (_frame_cofactors) and the
@@ -363,16 +368,24 @@ class SampledImmersion:
 
     # -- sampled values ----------------------------------------------------------
 
+    def jet(self):
+        """Positions and chart derivatives on the grid, (N, 6, Q) in the
+        slot order of energy.node_coordinates: one basis.chart_jet, kept
+        read-only."""
+        if "jet" not in self._cache:
+            self._cache["jet"] = _read_only(
+                self.basis.chart_jet(self.coeffs))
+        return self._cache["jet"]
+
     def samples(self):
-        if "P" not in self._cache:
-            self._cache["P"] = self.basis.evaluate(self.coeffs).real
-        return self._cache["P"]
+        return self.derivatives()[0]
 
     def derivatives(self):
-        """(P, Pd, Pdd) on the grid: positions, chart 1st and 2nd derivatives."""
+        """(P, Pd, Pdd) on the grid: positions, chart 1st and 2nd
+        derivatives, views of jet (_jet_triple)."""
         if "d" not in self._cache:
-            self._cache["d"] = _chart_derivatives(self.basis, self.coeffs)
-        return (self.samples(), *self._cache["d"])
+            self._cache["d"] = _jet_triple(self.jet())
+        return self._cache["d"]
 
     @property
     def geometry(self):
@@ -425,35 +438,21 @@ class SampledImmersion:
                 f"ambient={self.ambient!r}, res={self.resolution})")
 
 
-def _chart_derivatives(basis, coeffs):
-    """Chart first and second derivatives (d, dd) of the field synthesized
-    from coeffs, shaped (N, 2, Q) and (N, 2, 2, Q).  Axes of coeffs between
-    the basis axes and the component axis (a family of fields) come first
-    in both.  Each derivative is written into its slot as soon as it is
-    synthesized, so one synthesis at a time is in flight."""
-    def synthesize(deriv):
-        return np.moveaxis(basis.evaluate(coeffs, deriv).real, 0, -2)
-
-    du = synthesize((1, 0))
-    d = np.empty(du.shape[:-1] + (2,) + du.shape[-1:])
-    dd = np.empty(du.shape[:-1] + (2, 2) + du.shape[-1:])
-    d[..., 0, :] = du
-    del du
-    d[..., 1, :] = synthesize((0, 1))
-    dd[..., 0, 0, :] = synthesize((2, 0))
-    dd[..., 0, 1, :] = synthesize((1, 1))
-    dd[..., 1, 0, :] = dd[..., 0, 1, :]
-    dd[..., 1, 1, :] = synthesize((0, 2))
-    return d, dd
+def _read_only(x):
+    x.flags.writeable = False
+    return x
 
 
-def _family_derivatives(basis, coeffs):
-    """(W, Wd, Wdd) of a family of fields, shaped (B, N, Q), (B, N, 2, Q)
-    and (B, N, 2, 2, Q), from their coefficients stacked on the axis before
-    the component axis: one synthesis for the whole family."""
-    W = np.ascontiguousarray(
-        np.moveaxis(basis.evaluate(coeffs).real, 0, -2))
-    return (W, *_chart_derivatives(basis, coeffs))
+def _jet_triple(jet):
+    """(W, Wd, Wdd) views of a jet (..., N, 6, Q), shaped (..., N, Q),
+    (..., N, 2, Q) and (..., N, 2, 2, Q), read-only: Wdd[..., i, j, :] is
+    slot 3 + i + j, so its two mixed entries are one slot."""
+    dd = jet[..., 3:, :]
+    step = dd.strides[-2]
+    Wdd = np.lib.stride_tricks.as_strided(
+        dd, dd.shape[:-2] + (2, 2, dd.shape[-1]),
+        dd.strides[:-2] + (step, step, dd.strides[-1]), writeable=False)
+    return jet[..., 0, :], jet[..., 1:3, :], Wdd
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +463,9 @@ class Variation:
     """A band-limited ambient vector field along an immersion.
 
     Stored by spectral coefficients in the immersion's own basis; values and
-    chart derivatives are synthesized on demand. Constructing from samples
-    fits them first, so the canonical representative is always band-limited.
+    chart derivatives are synthesized on demand, all six slots in one
+    chart_jet, and read as views of it. Constructing from samples fits them
+    first, so the canonical representative is always band-limited.
     """
 
     def __init__(self, immersion, coeffs=None, samples=None):
@@ -481,19 +481,24 @@ class Variation:
         self.coeffs = coeffs
         self._cache = {}
 
+    def jet(self):
+        """Values and chart derivatives on the grid, (N, 6, Q): one
+        basis.chart_jet, kept read-only."""
+        if "jet" not in self._cache:
+            self._cache["jet"] = _read_only(
+                self.immersion.basis.chart_jet(self.coeffs))
+        return self._cache["jet"]
+
     @property
     def values(self):
-        if "W" not in self._cache:
-            self._cache["W"] = self.immersion.basis.evaluate(
-                self.coeffs).real
-        return self._cache["W"]
+        return self.derivatives()[0]
 
     def derivatives(self):
-        """(W, Wd, Wdd) on the grid: values, chart 1st and 2nd derivatives."""
+        """(W, Wd, Wdd) on the grid: values, chart 1st and 2nd derivatives,
+        views of jet (_jet_triple)."""
         if "d" not in self._cache:
-            self._cache["d"] = _chart_derivatives(self.immersion.basis,
-                                                  self.coeffs)
-        return (self.values, *self._cache["d"])
+            self._cache["d"] = _jet_triple(self.jet())
+        return self._cache["d"]
 
     def tangency_defect(self):
         """sup |ambient normal component of w| (|Phi . w| on the sphere)."""

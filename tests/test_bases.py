@@ -330,3 +330,82 @@ def test_basis_owns_its_chart(basis, genus, resolution):
     assert basis.resample(basis.resolution).to_dict() == d
     for degree in (2, 3, 5):
         assert type(basis).of_degree(degree).degree == degree
+
+
+# the six chart slots of a jet, in the order of energy.node_coordinates
+JET_ORDERS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+JET_BASES = [FourierBasis(16), FourierBasis(33), SphHarmBasis(16),
+             SphHarmBasis(24)]
+
+
+def _fitted_stack(basis, width, seed):
+    """Coefficients of `width` fields of 4 components, fitted to random
+    samples, the fields on the axis before the components."""
+    rng = np.random.default_rng(seed)
+    return basis.fit(rng.standard_normal((basis.num_nodes, width, 4)))
+
+
+@pytest.mark.parametrize("basis", JET_BASES, ids=repr)
+def test_chart_jet_slots_match_evaluate(basis):
+    # every slot of the one synthesis against the derivative evaluate
+    # gives on its own (the real part on the torus)
+    coeffs = _fitted_stack(basis, 3, 21)
+    jet = basis.chart_jet(coeffs)
+    assert jet.shape == (3, basis.num_nodes, 6, 4)
+    for slot, deriv in enumerate(JET_ORDERS):
+        ref = np.moveaxis(basis.evaluate(coeffs, deriv).real, 0, -2)
+        assert np.max(np.abs(jet[..., slot, :] - ref)) <= \
+            1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("basis", JET_BASES, ids=repr)
+def test_chart_jet_of_a_field_does_not_depend_on_the_stack(basis):
+    # a field synthesized alone has the bits it has as one column of a
+    # 100-wide stack: every transform line and Legendre sum is its own
+    coeffs = _fitted_stack(basis, 100, 22)
+    jet = basis.chart_jet(coeffs)
+    for k in (0, 7, 8, 37, 99):
+        alone = basis.chart_jet(coeffs[..., k, :])
+        assert alone.shape == (basis.num_nodes, 6, 4)
+        assert np.array_equal(alone, jet[k])
+
+
+@pytest.mark.parametrize("preset, resolution", [
+    ("perturbed_clifford", 16), ("perturbed_clifford", 33),
+    ("perturbed_equator", 16), ("perturbed_equator", 24)])
+def test_family_node_array_is_read_only_and_shared(monkeypatch, preset,
+                                                   resolution):
+    # a variation basis synthesizes its family once, as one read-only node
+    # array; the triples, the Gram matrix, the gradient, the diagonal and
+    # the pencil all read that array and synthesize nothing more
+    from viscmin import morse, surface
+
+    im = surface.make_preset(preset, resolution)
+    basis = morse.normal_variation_basis(im, 2)
+    nodes = basis.jet()
+    assert nodes.shape == (len(basis), im.basis.num_nodes, 6,
+                           im.ambient.dim)
+    assert not nodes.flags.writeable
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    fields = [f.jet() for f in basis.fields]
+    assert np.array_equal(nodes, np.stack(fields))
+    calls = []
+    chart_jet = type(im.basis).chart_jet
+
+    def counted(chart, coeffs):
+        calls.append(coeffs.shape)
+        return chart_jet(chart, coeffs)
+
+    monkeypatch.setattr(type(im.basis), "chart_jet", counted)
+    assert basis.jet() is nodes
+    for x in basis.triples():
+        assert np.shares_memory(x, nodes) and not x.flags.writeable
+    basis.gram()
+    morse.basis_gradient(im, basis, 0.3)
+    morse.hessian_diagonal(im, basis, 0.3)
+    morse.sigma_pencil(im, basis)
+    assert calls == []
+    # the immersion's own samples and derivatives are views of its jet
+    assert all(np.shares_memory(x, im.jet()) and not x.flags.writeable
+               for x in im.derivatives())

@@ -289,18 +289,18 @@ def test_newton_synthesizes_each_basis_once(monkeypatch):
     # one batched synthesis of the variation basis per iteration and no
     # per-field synthesis; the gradient is one contraction, so the only
     # kernel passes are the diagonal passes of the steps taken
+    im = surface.make_preset("perturbed_equator", resolution=8)
     families = []
-    chart_derivatives = surface._chart_derivatives
+    chart_jet = type(im.basis).chart_jet
 
     def counted(basis, coeffs):
         if coeffs.ndim == (4 if isinstance(basis, FourierBasis) else 3):
             families.append(coeffs.shape[-2])
-        return chart_derivatives(basis, coeffs)
+        return chart_jet(basis, coeffs)
 
-    monkeypatch.setattr(surface, "_chart_derivatives", counted)
+    monkeypatch.setattr(type(im.basis), "chart_jet", counted)
     fields = _counted(monkeypatch, surface.Variation, "derivatives")
     passes = _counted(monkeypatch, energy, "_node_kernel_blocks")
-    im = surface.make_preset("perturbed_equator", resolution=8)
     out = continuation.solve_critical_point(im, 0.5, cutoff=4)
     assert out["iterations"] > 0
     assert families == [25] * (out["iterations"] + 1)
